@@ -5,7 +5,8 @@ requests with ragged context lengths, each advancing one token per round
 — is served two ways on each kernel backend:
 
 * **loop** — the per-request path: one ``engine.decode_step`` per active
-  request per round (what ``--no-batched-decode`` serves);
+  request per round (what a policy without ``supports_batched_decode``
+  serves);
 * **fused** — ``engine.decode_step_batch``: every request's K/V token is
   appended, then **one** cross-request ``filter_heads_batch`` call covers
   the whole ragged active set (padding + validity mask + batch-wide
@@ -250,7 +251,9 @@ def main() -> None:
     args = parser.parse_args()
     sizes = (1, 2, 4, 8, 16, 32)
     if args.quick:
-        sizes = (1, 8, 16)
+        # Keep the full sweep's leading sizes so list index 4 is active 16
+        # in both runs: compare_bench reads the headline by that index.
+        sizes = (1, 2, 4, 8, 16)
 
     print(f"batched decode roofline: {args.heads} KV heads, base context "
           f"{args.context} (+{RAGGED_STRIDE}*(i%{RAGGED_PERIOD}) ragged), "

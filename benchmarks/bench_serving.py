@@ -9,8 +9,9 @@ global KV token budget, three ways:
 * **lockstep** — the same scheduler with ``admission="drain"``: a batch
   is formed and fully drained before new arrivals are admitted (the
   static-batching baseline the motivation section describes);
-* **dense** — the PR-1 :class:`~repro.engine.EngineScheduler` with
-  per-request dense caches, used only as the retained-set oracle.
+* **dense** — a plain per-request ``new_cache`` / ``prefill`` /
+  ``decode_step`` loop on dense caches, used only as the retained-set
+  oracle.
 
 The script asserts (a) continuous batching beats lockstep on mean TTFT,
 and (b) every request's retained-token sets are byte-identical across the
@@ -31,6 +32,8 @@ from __future__ import annotations
 
 import argparse
 import json
+
+import numpy as np
 
 from repro.core import PadeConfig
 from repro.engine import PadeEngine
@@ -57,12 +60,27 @@ def _serve(workload, backend, budget, block_size, max_active, policy, admission)
     return results, report
 
 
-def _serve_dense(workload, backend, max_active):
-    """PR-1 lockstep scheduler with dense caches: the retained-set oracle."""
-    engine = PadeEngine(PadeConfig.standard(), backend=backend, max_active=max_active)
-    for request in workload:
-        engine.submit(request)
-    return engine.run()
+def _serve_dense(workload, backend):
+    """Per-request dense-cache decode loop: the retained-set oracle.
+
+    Returns ``{request_id: retained bytes}`` in the
+    ``RequestResult.retained_bytes`` encoding.
+    """
+    engine = PadeEngine(PadeConfig.standard(), backend=backend)
+    digests = {}
+    for req in workload:
+        num_heads, _, head_dim = req.k.shape
+        cache = engine.new_cache(num_heads, head_dim, req.v.shape[2])
+        engine.prefill(cache, req.k, req.v, q=req.q_prompt, total_tokens=req.total_tokens)
+        digests[req.request_id] = b"".join(
+            np.packbits(
+                engine.decode_step(
+                    cache, req.decode_q[:, t], req.decode_k[:, t], req.decode_v[:, t]
+                ).retained[:, 0, :].astype(np.uint8)
+            ).tobytes()
+            for t in range(req.decode_steps)
+        )
+    return digests
 
 
 def run_comparison(
@@ -90,7 +108,7 @@ def run_comparison(
         lock, lock_report = _serve(
             workload, backend, budget, block_size, max_active, "fcfs", "drain"
         )
-        dense = _serve_dense(workload, backend, max_active)
+        dense = _serve_dense(workload, backend)
         digests = {
             rid: cont[rid].retained_bytes() for rid in sorted(cont)
         }
@@ -98,7 +116,7 @@ def run_comparison(
             if not (
                 digests[rid]
                 == lock[rid].retained_bytes()
-                == dense[rid].retained_bytes()
+                == dense[rid]
             ):
                 out["parity_ok"] = False
         if reference_bytes is None:

@@ -186,7 +186,7 @@ class AttentionPolicy:
     #: :meth:`decode_step` per request in active-set order — outputs,
     #: retained sets, and per-request stats byte for byte (DESIGN.md
     #: §13).  Policies that keep it ``False`` always serve through the
-    #: per-request loop, even when the scheduler runs in batched mode.
+    #: per-request loop.
     supports_batched_decode: bool = False
     #: True when the policy is sound as the cheap *draft* of a
     #: draft-verify speculative pair (DESIGN.md §17): its per-request

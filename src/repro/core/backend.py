@@ -57,19 +57,16 @@ _FALLBACK = "fast"
 class KernelBackend(Protocol):
     """One implementation of the fused predict/execute filter.
 
-    A backend must expose the three entry points the stack dispatches on:
+    A backend must expose the four entry points the stack dispatches on:
     the batched filter (prefill-style blocks), the stateful row filter
-    (ISTA's streaming observation windows), and the head-batched filter
-    (the engine's multi-head decode rounds).  All backends must return
-    bit-identical :class:`BSFResult` fields for the same inputs — only the
-    loop structure may differ.
-
-    ``filter_heads_batch`` — the cross-request fused round the continuous
-    scheduler dispatches at every decode round — is *optional*: the engine
-    probes for it with ``getattr`` and falls back to a per-request
-    ``filter_heads`` loop when a third-party backend predates it.  Both
-    shipped backends implement it (the reference one as the per-request
-    loop itself, so the fallback and the method agree by construction).
+    (ISTA's streaming observation windows), the head-batched filter (the
+    engine's attend for one request) and the cross-request fused filter
+    ``filter_heads_batch`` (the engine's attend for two or more requests,
+    e.g. a decode round of the continuous scheduler).  All backends must
+    return bit-identical :class:`BSFResult` fields for the same inputs —
+    only the loop structure may differ; ``filter_heads_batch`` must equal
+    a per-request ``filter_heads`` loop, which is how the reference
+    backend implements it.
     """
 
     name: str

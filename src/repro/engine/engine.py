@@ -12,12 +12,14 @@ rebuilt per call), the engine is the layer a serving stack talks to:
 * **persistent bit-plane cache**: Key planes are decomposed once at
   prefill (:class:`repro.engine.cache.BitPlaneKVCache`) and extended
   incrementally each decode step, never rebuilt;
-* **head-batched fast path**: each filter round covers all heads with one
-  einsum via ``KernelBackend.filter_heads`` (the ``"fast"`` backend
-  dispatches :func:`repro.core.bsf_fast.bsf_filter_fast_heads`);
-* **request scheduling**: :meth:`PadeEngine.submit` /
-  :meth:`PadeEngine.run` batch prefill admission and decode rounds across
-  concurrent requests in lockstep; :meth:`PadeEngine.serve` runs the
+* **one attend path**: :meth:`PadeEngine.attend_batch` quantizes,
+  filters and folds softmax/V for one query block per request; a single
+  request dispatches ``KernelBackend.filter_heads`` (all heads in one
+  einsum per round, :func:`repro.core.bsf_fast.bsf_filter_fast_heads` on
+  the ``"fast"`` backend), two or more dispatch one fused
+  ``filter_heads_batch`` over the ragged set, and :meth:`PadeEngine.attend`
+  is the one-request case;
+* **request scheduling**: :meth:`PadeEngine.serve` runs the
   continuous-batching path — arrival-aware admission every round over a
   paged block pool with a global token budget and preemption under
   pressure (see :mod:`repro.engine.scheduler`);
@@ -25,7 +27,7 @@ rebuilt per call), the engine is the layer a serving stack talks to:
   registered :class:`~repro.attention.policy.AttentionPolicy` — the PADE
   bit-plane filter (default) or the converted software baselines (Quest,
   H2O, StreamingLLM, MInference, double sparsity, top-k oracle) — through
-  the same caches and schedulers, so serving metrics are apples-to-apples
+  the same caches and scheduler, so serving metrics are apples-to-apples
   across methods.
 
 The engine's retained sets are backend-invariant: running the same
@@ -43,11 +45,10 @@ import numpy as np
 
 from repro.attention.policy import AttentionPolicy, resolve_policy
 from repro.core.backend import KernelBackend, get_backend
-from repro.core.bui_gf import guard_in_int_units
 from repro.core.config import PadeConfig
 from repro.core.pade_attention import causal_allowed, protection_mask
 from repro.engine.cache import BitPlaneKVCache
-from repro.quant.integer import int_range, quantize_symmetric
+from repro.quant.integer import int_range
 
 __all__ = ["EngineStats", "EngineAttentionResult", "PadeEngine"]
 
@@ -156,9 +157,6 @@ class PadeEngine:
         resolution unless ``backend`` is passed explicitly.
     backend:
         Kernel backend name or instance; overrides ``config.backend``.
-    max_active:
-        Decode-round batch width of the scheduler — how many requests may
-        be in flight at once (see :meth:`run`).
     policy:
         Attention policy served by this engine: a registry name
         (``"pade"``, ``"quest"``, ``"h2o"``, ``"streaming-llm"``,
@@ -171,7 +169,6 @@ class PadeEngine:
         self,
         config: Optional[PadeConfig] = None,
         backend: Optional[Union[str, KernelBackend]] = None,
-        max_active: int = 8,
         policy: Union[None, str, AttentionPolicy] = None,
     ) -> None:
         self.config = config or PadeConfig.standard()
@@ -180,11 +177,6 @@ class PadeEngine:
         )
         self.policy: AttentionPolicy = resolve_policy(policy)
         self.stats = EngineStats()
-        if max_active < 1:
-            raise ValueError("max_active must be >= 1")
-        from repro.engine.scheduler import EngineScheduler
-
-        self._scheduler = EngineScheduler(self, max_active=max_active)
         self._last_serve = None
 
     # ------------------------------------------------------------------
@@ -212,46 +204,33 @@ class PadeEngine:
             for _ in range(cfg.num_layers)
         ]
 
-    def attend(
-        self,
-        cache: BitPlaneKVCache,
-        q: np.ndarray,
-        query_offset: Optional[int] = None,
-    ) -> EngineAttentionResult:
+    def attend(self, cache: BitPlaneKVCache, q: np.ndarray) -> EngineAttentionResult:
         """Attend a query block against the cached keys for every head.
 
-        ``q`` has shape ``(H, P, D)``.  ``query_offset`` positions the
-        block inside the sequence for causal/recency masks; it defaults to
-        ``length - P`` (the trailing block, i.e. the prefill/decode case).
+        ``q`` has shape ``(H, P, D)`` and holds the trailing ``P``
+        positions of the sequence (the prefill/decode case).  The
+        one-request case of :meth:`attend_batch`.
         """
-        q_int, logit_scales, guards, allowed, protect = self._attend_params(
-            cache, q, query_offset
-        )
-        res = self.kernel.filter_heads(
-            q_int, cache.planes, guards, allowed=allowed, protect=protect
-        )
-        return self._finish_attend(cache, res, logit_scales, guards, allowed)
+        return self.attend_batch([cache], [q])[0]
 
     def attend_batch(
         self,
         caches,
         qs,
     ) -> List[EngineAttentionResult]:
-        """Attend one query block per request in a single fused filter call.
+        """Attend one query block per request: quantize, filter, softmax/V.
 
-        The batched analogue of :meth:`attend` for a decode round: per
-        request the quantization, guards and causal/protection masks are
-        prepared exactly as :meth:`attend` prepares them, the bit planes
-        are gathered from each request's cache (paged caches gather via
-        their block tables here), then **one**
-        ``KernelBackend.filter_heads_batch`` call covers the whole ragged
-        active set and the outputs/retained sets/stats are scattered back
-        per request.  Result-identical to calling :meth:`attend` per
-        request in order — including every per-request ``EngineStats``
-        counter — by DESIGN.md §13; the only extra accounting is the
-        ``batched_rounds`` / ``fused_rows`` occupancy counters on the
-        fused path.  Backends that predate ``filter_heads_batch`` fall
-        back to a per-request ``filter_heads`` loop transparently.
+        The engine's single attend path.  Per request the quantization,
+        guards and causal/protection masks are prepared and the bit planes
+        are gathered from the cache (paged caches gather via their block
+        tables here).  The kernel is then chosen by request count: one
+        request calls ``KernelBackend.filter_heads``, the head kernel,
+        which beats the fused lattice at a batch of one; two or more call
+        ``filter_heads_batch`` once over the whole ragged set and count
+        the fused dispatch in ``batched_rounds`` / ``fused_rows``.  Both
+        kernels return identical per-request results, so outputs,
+        retained sets and every other ``EngineStats`` counter do not
+        depend on how requests are grouped (DESIGN.md §13).
         """
         if len(caches) != len(qs):
             raise ValueError("attend_batch needs one query block per cache")
@@ -264,9 +243,15 @@ class PadeEngine:
         protects = [p[4] for p in params]
         key_planes = [cache.planes for cache in caches]
 
-        fused = getattr(self.kernel, "filter_heads_batch", None)
-        if fused is not None:
-            results = fused(
+        if len(caches) == 1:
+            results = [
+                self.kernel.filter_heads(
+                    q_ints[0], key_planes[0], guards_list[0],
+                    allowed=alloweds[0], protect=protects[0],
+                )
+            ]
+        else:
+            results = self.kernel.filter_heads_batch(
                 q_ints, key_planes, guards_list, alloweds=alloweds, protects=protects
             )
             seq_lens = [cache.length for cache in caches]
@@ -274,44 +259,39 @@ class PadeEngine:
             self.stats.batched_rounds += 1
             self.stats.fused_rows += cells_per_key * sum(seq_lens)
             self.stats.fused_padded_rows += cells_per_key * len(caches) * max(seq_lens)
-        else:
-            results = [
-                self.kernel.filter_heads(
-                    q_ints[i], key_planes[i], guards_list[i],
-                    allowed=alloweds[i], protect=protects[i],
-                )
-                for i in range(len(caches))
-            ]
         return self._finish_attend_batch(caches, results, params)
 
     def _attend_params_batch(self, caches, qs):
-        """Filter inputs for a whole decode round, one tuple per request.
+        """Filter inputs ``(q_int, logit_scales, guards, allowed,
+        protect)``, one tuple per request.
 
-        Bit-identical to calling :meth:`_attend_params` per request: the
-        quantization and guard arithmetic below is the same sequence of
-        IEEE-754 double operations, merely broadcast over the (request,
-        head) axes — ``max |q|`` folds, the ``max_abs / qmax`` divisions,
-        ``rint``/``clip`` and the ``alpha * radius / scale`` guards are
-        all elementwise, so batching cannot change a single bit.
-        Heterogeneous query shapes (not a decode round) fall back to the
-        per-request helper.
+        Every request must share one query shape ``(H, P, D)``.  The
+        quantization and guard arithmetic is bit-identical to quantizing
+        each head on its own with
+        :func:`~repro.quant.integer.quantize_symmetric` and
+        :func:`~repro.core.bui_gf.guard_in_int_units`: ``max |q|``, the
+        ``max_abs / qmax`` divisions, ``rint``/``clip`` and the
+        ``alpha * radius / scale`` guards are all elementwise IEEE-754
+        double operations, merely broadcast over the (request, head) axes.
         """
         cfg = self.config
         qs_np = [np.asarray(q, dtype=np.float64) for q in qs]
-        if len({q.shape for q in qs_np}) != 1:
-            return [self._attend_params(cache, q) for cache, q in zip(caches, qs_np)]
-        q_all = np.stack(qs_np)  # (R, Hh, P, D)
-        _, num_heads, num_queries, head_dim = q_all.shape
-        for cache in caches:
-            if num_heads != cache.num_heads or head_dim != cache.head_dim:
+        for cache, q in zip(caches, qs_np):
+            if q.ndim != 3 or q.shape[0] != cache.num_heads or q.shape[2] != cache.head_dim:
                 raise ValueError(
                     f"expected queries ({cache.num_heads}, P, {cache.head_dim}), "
-                    f"got {q_all.shape[1:]}"
+                    f"got {q.shape}"
                 )
+        if len({q.shape for q in qs_np}) != 1:
+            raise ValueError(
+                f"attend_batch needs one query shape per call, got "
+                f"{sorted({q.shape for q in qs_np})}"
+            )
+        q_all = np.stack(qs_np)  # (R, Hh, P, D)
+        num_queries, head_dim = q_all.shape[2:]
         qmin, qmax = int_range(cfg.bits)
-        max_abs = np.abs(q_all).max(axis=(2, 3))  # (R, Hh)
-        # Same subnormal-underflow floor as quantize_symmetric — the two
-        # paths must stay bit-identical.
+        max_abs = np.abs(q_all).max(axis=(2, 3), initial=0.0)  # (R, Hh)
+        # Same subnormal-underflow floor as quantize_symmetric.
         q_scales = np.where(
             max_abs > 0, np.maximum(max_abs / qmax, np.finfo(np.float64).tiny), 1.0
         )
@@ -340,15 +320,15 @@ class PadeEngine:
         return params
 
     def _finish_attend_batch(self, caches, results, params):
-        """Fold a round of filter results through softmax/V, batched.
+        """Fold filter results through softmax/V and the stats counters.
 
         The request-independent elementwise stages (logit scaling, the
         masked ``-inf`` fill, row max, ``exp``, the guarded divide) run
         on one padded ``(R, Hh, P, S_max)`` lattice; the softmax
         *denominators* and the probability·V einsums stay per-request on
-        the real ``S_i`` slices so every pairwise summation tree is the
-        one :meth:`_finish_attend` would build — outputs match the
-        per-request path byte for byte, not just numerically.
+        the real ``S_i`` slices, so every pairwise summation tree is the
+        one a single request builds on its own — outputs do not depend on
+        the batch, byte for byte.
         """
         seq_lens = [cache.length for cache in caches]
         s_max = max(seq_lens)
@@ -396,6 +376,9 @@ class PadeEngine:
                     logit_scales=logit_scales,
                     guards=guards,
                     candidate_keys=candidates,
+                    # PADE has no separate predictor: the bound evaluation
+                    # is the execution's first bit planes, so the whole
+                    # cost is execution.
                     prediction_cost=0.0,
                     execution_cost=(
                         float(retained_counts[i]) / candidates if candidates else 0.0
@@ -403,87 +386,6 @@ class PadeEngine:
                 )
             )
         return out
-
-    def _attend_params(
-        self,
-        cache: BitPlaneKVCache,
-        q: np.ndarray,
-        query_offset: Optional[int] = None,
-    ):
-        """Per-request filter inputs: ``(q_int, logit_scales, guards,
-        allowed, protect)`` — shared verbatim by :meth:`attend` and
-        :meth:`attend_batch` so the two paths cannot drift."""
-        cfg = self.config
-        q = np.asarray(q, dtype=np.float64)
-        if q.ndim != 3 or q.shape[0] != cache.num_heads or q.shape[2] != cache.head_dim:
-            raise ValueError(
-                f"expected queries ({cache.num_heads}, P, {cache.head_dim}), got {q.shape}"
-            )
-        num_heads, num_queries, head_dim = q.shape
-        seq_len = cache.length
-        offset = seq_len - num_queries if query_offset is None else query_offset
-
-        q_quant = [quantize_symmetric(q[h], bits=cfg.bits) for h in range(num_heads)]
-        q_int = np.stack([qh.data for qh in q_quant])
-        q_scales = np.array([float(qh.scale) for qh in q_quant])
-        logit_scales = q_scales * cache.scales
-        if cfg.scale_logits:
-            logit_scales = logit_scales / np.sqrt(head_dim)
-        guards = np.array(
-            [guard_in_int_units(cfg.alpha, cfg.radius, float(s)) for s in logit_scales]
-        )
-
-        allowed = causal_allowed(num_queries, seq_len, offset) if cfg.causal else None
-        protect = protection_mask(
-            num_queries, seq_len, cfg.sink_tokens, cfg.recent_tokens, offset
-        )
-        return q_int, logit_scales, guards, allowed, protect
-
-    def _finish_attend(
-        self,
-        cache: BitPlaneKVCache,
-        res,
-        logit_scales: np.ndarray,
-        guards: np.ndarray,
-        allowed,
-    ) -> EngineAttentionResult:
-        """Fold one filter result through softmax/V and the stats counters."""
-        # Retained scores are exact integer Q·K products; fold them through
-        # a masked softmax and the cached V rows.
-        logits = res.scores.astype(np.float64) * logit_scales[:, None, None]
-        logits = np.where(res.retained, logits, -np.inf)
-        row_max = logits.max(axis=2, keepdims=True)
-        row_max = np.where(np.isfinite(row_max), row_max, 0.0)
-        probs = np.exp(logits - row_max)
-        denom = probs.sum(axis=2, keepdims=True)
-        probs = np.divide(probs, denom, out=np.zeros_like(probs), where=denom > 0)
-        output = np.einsum("hps,hsd->hpd", probs, cache.values)
-
-        candidates = (
-            int(np.broadcast_to(allowed, res.retained.shape).sum())
-            if allowed is not None
-            else res.retained.size
-        )
-        self.stats.filter_calls += 1
-        self.stats.bit_plane_loads += res.bit_plane_loads
-        self.stats.effective_bit_ops += res.effective_bit_ops
-        self.stats.naive_bit_ops += res.naive_bit_ops
-        self.stats.retained_keys += int(res.retained.sum())
-        self.stats.candidate_keys += candidates
-        return EngineAttentionResult(
-            output=output,
-            retained=res.retained,
-            scores=res.scores,
-            logit_scales=logit_scales,
-            guards=guards,
-            candidate_keys=candidates,
-            # PADE has no separate predictor: the bound evaluation is the
-            # execution's first bit planes, so the whole cost is execution.
-            prediction_cost=0.0,
-            execution_cost=(
-                float(res.retained.sum()) / candidates if candidates else 0.0
-            ),
-        )
 
     def prefill(
         self,
@@ -622,95 +524,23 @@ class PadeEngine:
         return bool(getattr(self.policy, "supports_batched_decode", False))
 
     # ------------------------------------------------------------------
-    # Request-level scheduling (delegates to the schedulers)
+    # Request-level scheduling
     # ------------------------------------------------------------------
-    def submit(self, request) -> None:
-        """Queue an :class:`~repro.engine.scheduler.EngineRequest`."""
-        self._scheduler.submit(request)
-
-    def run(self):
-        """Serve every queued request to completion (batched rounds).
-
-        Returns ``{request_id: RequestResult}``; see
-        :class:`repro.engine.scheduler.EngineScheduler` for the admission
-        and round-robin policy.
-        """
-        return self._scheduler.run()
-
-    @property
-    def schedule_trace(self):
-        """Chronological ``(event, request_ids)`` log of the last run."""
-        return self._scheduler.trace
-
-    def serve(
-        self,
-        requests,
-        max_active: Optional[int] = None,
-        token_budget: int = 4096,
-        block_size: int = 16,
-        policy="fcfs",
-        admission: str = "continuous",
-        prefix_sharing: bool = False,
-        chunk_tokens: int = 0,
-        round_token_budget: int = 0,
-        tenant_weights=None,
-        batched_decode: bool = True,
-        tiering=None,
-        draft_policy="streaming-llm",
-        spec_accept_tol: float = 0.05,
-    ):
+    def serve(self, requests, **kwargs):
         """Serve ``requests`` with continuous batching over a paged pool.
 
-        Arrival-aware admission at every decode-round boundary, KV rows in
-        fixed-size blocks under ``token_budget``, preemption under memory
-        pressure — see :class:`repro.engine.scheduler.ContinuousScheduler`
-        for the policy knobs.  ``policy`` picks the scheduling policy
-        (``fcfs`` / ``shortest-prompt`` / ``priority`` / ``edf`` /
-        ``fair``, or a :class:`~repro.engine.scheduler.SchedulingPolicy`
-        instance) and ``tenant_weights`` the fair-share weights the
-        ``fair`` policy divides service by.  ``prefix_sharing`` turns on
-        hash-based copy-on-write prompt-prefix sharing across requests;
-        ``round_token_budget`` activates the prefill cost model (a prompt
-        occupies rounds in proportion to its length) and ``chunk_tokens``
-        splits those prompts into chunks interleaved with decode rounds.
-        ``batched_decode`` (default on) fuses each decode round's filter
-        across the whole active set when the policy supports it — results
-        are byte-identical to the per-request loop either way.
-        ``tiering`` (``True`` or a :class:`~repro.engine.cache.TierConfig`)
-        arms the two-tier plane memory: under pool pressure, low-order
-        bit planes of cold blocks spill to a secondary tier and
-        preemption becomes the last resort (PADE policy only; DESIGN.md
-        §16).  ``draft_policy`` / ``spec_accept_tol`` configure the
-        draft-verify speculative mode for requests submitted with
-        ``speculative=True`` (DESIGN.md §17): the named draftable policy
-        proposes ``draft_tokens``-token blocks over a COW fork anchor
-        and this engine's PADE policy verifies them, accepting the
-        leading run within the relative-L2 tolerance.
-        Returns ``{request_id: RequestResult}`` with per-request timing
-        (arrival/admit/first-token/finish) populated — aborted requests
-        (deadline missed, queueing bound exceeded, cancelled) report
-        ``status="aborted"``; the scheduler of the last call stays
+        ``kwargs`` go to :class:`repro.engine.scheduler.ContinuousScheduler`
+        unchanged (``max_active``, ``token_budget``, ``block_size``,
+        ``policy`` and the rest; see its docstring).  Returns
+        ``{request_id: RequestResult}`` with per-request timing
+        (arrival/admit/first-token/finish) populated; aborted requests
+        report ``status="aborted"``.  The scheduler of the last call stays
         inspectable via :attr:`last_serve` (trace, timed events, pool
         occupancy timeline, prefix-cache counters, tenant service).
         """
         from repro.engine.scheduler import ContinuousScheduler
 
-        scheduler = ContinuousScheduler(
-            self,
-            max_active=self._scheduler.max_active if max_active is None else max_active,
-            token_budget=token_budget,
-            block_size=block_size,
-            policy=policy,
-            admission=admission,
-            prefix_sharing=prefix_sharing,
-            chunk_tokens=chunk_tokens,
-            round_token_budget=round_token_budget,
-            tenant_weights=tenant_weights,
-            batched_decode=batched_decode,
-            tiering=tiering,
-            draft_policy=draft_policy,
-            spec_accept_tol=spec_accept_tol,
-        )
+        scheduler = ContinuousScheduler(self, **kwargs)
         for request in requests:
             scheduler.submit(request)
         self._last_serve = scheduler

@@ -1,21 +1,16 @@
 """Request-level scheduling for :class:`repro.engine.engine.PadeEngine`.
 
 Serving traffic arrives as *requests*: a prompt to prefill, then a stream
-of decode steps.  Two schedulers batch them:
-
-* :class:`EngineScheduler` — the original lockstep layer: FIFO admission
-  while slots are free, every request owns a private dense
-  :class:`~repro.engine.cache.BitPlaneKVCache`, no notion of time or
-  memory pressure.  Kept as the uncontended baseline.
-* :class:`ContinuousScheduler` — iteration-level (continuous) batching
-  over a shared :class:`~repro.engine.cache.PlaneBlockPool`: requests
-  carry arrival times, admission happens at *every* decode-round boundary
-  under a pluggable :class:`SchedulingPolicy` (``fcfs`` /
-  ``shortest-prompt`` / ``priority`` / ``edf`` / ``fair``), KV rows live
-  in fixed-size blocks under a global token budget, and budget pressure
-  preempts a policy-chosen victim (its blocks are freed; it re-prefills
-  from scratch on re-admission, so its retained sets are identical to an
-  uncontended run).
+of decode steps.  :class:`ContinuousScheduler` batches them with
+iteration-level (continuous) batching over a shared
+:class:`~repro.engine.cache.PlaneBlockPool`: requests carry arrival
+times, admission happens at *every* decode-round boundary under a
+pluggable :class:`SchedulingPolicy` (``fcfs`` / ``shortest-prompt`` /
+``priority`` / ``edf`` / ``fair``), KV rows live in fixed-size blocks
+under a global token budget, and budget pressure preempts a
+policy-chosen victim (its blocks are freed; it re-prefills from scratch
+on re-admission, so its retained sets are identical to an uncontended
+run).
 
 Multi-tenant SLO serving rides on three request attributes: ``tenant``
 (the traffic source, the unit of fairness accounting), ``priority``
@@ -55,7 +50,6 @@ __all__ = [
     "EngineRequest",
     "RequestResult",
     "deadline_was_missed",
-    "EngineScheduler",
     "ContinuousScheduler",
     "SchedulingPolicy",
     "FcfsPolicy",
@@ -78,16 +72,16 @@ class EngineRequest:
     ``q_prompt`` is ``(H, P, D)`` or ``None``; the decode streams are
     ``(H, T, D)`` / ``(H, T, D)`` / ``(H, T, Dv)`` with a shared step
     count ``T`` (``None`` for prefill-only requests).  ``arrival_time``
-    is in decode-round units; the lockstep scheduler ignores it, the
-    continuous scheduler never admits a request before it.
+    is in decode-round units; the scheduler never admits a request
+    before it.
 
-    The SLO attributes are all optional and ignored by the lockstep
-    scheduler: ``tenant`` names the traffic source (fairness accounting
-    unit), ``priority`` the service class (higher = more urgent, used by
-    the ``priority`` policy and by preemption victim selection),
-    ``deadline_ms`` a completion SLO relative to arrival, and
-    ``max_queue_ms`` a bound on time spent waiting for admission — both
-    on the scheduler clock (decode rounds until calibrated).
+    The SLO attributes are all optional: ``tenant`` names the traffic
+    source (fairness accounting unit), ``priority`` the service class
+    (higher = more urgent, used by the ``priority`` policy and by
+    preemption victim selection), ``deadline_ms`` a completion SLO
+    relative to arrival, and ``max_queue_ms`` a bound on time spent
+    waiting for admission — both on the scheduler clock (decode rounds
+    until calibrated).
     """
 
     request_id: str
@@ -226,9 +220,9 @@ def deadline_was_missed(
 class RequestResult:
     """Everything the engine produced for one completed request.
 
-    The timing fields are populated by :class:`ContinuousScheduler` (the
-    lockstep scheduler leaves them at their defaults): all are in
-    decode-round units on the same clock as ``EngineRequest.arrival_time``.
+    The timing fields are populated by :class:`ContinuousScheduler`: all
+    are in decode-round units on the same clock as
+    ``EngineRequest.arrival_time``.
     ``first_token_time`` is when the first decode token (or, for
     prefill-only requests, the prefill output) became available.
 
@@ -297,8 +291,8 @@ class RequestResult:
 def _stack_decode_outputs(req: EngineRequest, outputs: List[np.ndarray]) -> np.ndarray:
     """Stack per-step decode outputs into ``(H, T, Dv)`` (``T`` may be 0).
 
-    Shared by both schedulers' result assembly so the empty-decode shape
-    convention cannot drift between them again.
+    Shared by the primary lineage and the parallel-sampling lineages so
+    the empty-decode shape convention cannot drift between them.
     """
     if outputs:
         return np.stack(outputs, axis=1)
@@ -387,106 +381,6 @@ class _RequestState:
         self.sample_lineages = None
         self.spec_anchor = None
         self.draft_state = None
-
-
-class EngineScheduler:
-    """FIFO admission + lockstep decode rounds over one engine."""
-
-    def __init__(self, engine, max_active: int = 8) -> None:
-        self.engine = engine
-        self.max_active = max_active
-        self.queued: List[EngineRequest] = []
-        self.active: List[_RequestState] = []
-        self.trace: List[Tuple[str, Tuple[str, ...]]] = []
-
-    # ------------------------------------------------------------------
-    def submit(self, request: EngineRequest) -> None:
-        in_flight = [r.request_id for r in self.queued]
-        in_flight += [s.request.request_id for s in self.active]
-        if request.request_id in in_flight:
-            raise ValueError(f"request id {request.request_id!r} already queued")
-        self.queued.append(request)
-
-    def _admit(self) -> None:
-        while self.queued and len(self.active) < self.max_active:
-            request = self.queued.pop(0)
-            num_heads, _, head_dim = np.asarray(request.k).shape
-            v_dim = np.asarray(request.v).shape[2]
-            cache = self.engine.new_cache(num_heads, head_dim, v_dim)
-            res = self.engine.prefill(
-                cache,
-                request.k,
-                request.v,
-                q=request.q_prompt,
-                total_tokens=request.total_tokens,
-            )
-            state = _RequestState(request=request, cache=cache)
-            if res is not None:
-                state.prefill_output = res.output
-            self.active.append(state)
-            self.trace.append(("prefill", (request.request_id,)))
-
-    def _decode_round(self) -> int:
-        """One lockstep round: every unfinished request advances one step.
-
-        Returns the number of requests that advanced (the same signature
-        as :meth:`ContinuousScheduler._decode_round`).  The whole round
-        goes through :meth:`~repro.engine.engine.PadeEngine.decode_step_batch`,
-        so a batch-capable policy serves it as one fused filter call; the
-        engine falls back to the per-request loop otherwise, with
-        byte-identical results either way.
-        """
-        todo = [s for s in self.active if not s.done]
-        if not todo:
-            return 0
-        steps = [
-            (
-                s.cache,
-                s.request.decode_q[:, s.next_step, :],
-                s.request.decode_k[:, s.next_step, :],
-                s.request.decode_v[:, s.next_step, :],
-            )
-            for s in todo
-        ]
-        results = self.engine.decode_step_batch(steps)
-        round_ids = []
-        for state, res in zip(todo, results):
-            state.outputs.append(res.output[:, 0, :])
-            state.retained_history.append(res.retained[:, 0, :])
-            state.next_step += 1
-            round_ids.append(state.request.request_id)
-        self.trace.append(("decode_round", tuple(round_ids)))
-        return len(round_ids)
-
-    def _collect(self, results: Dict[str, RequestResult]) -> None:
-        still_active = []
-        for state in self.active:
-            if not state.done:
-                still_active.append(state)
-                continue
-            req = state.request
-            decode_outputs = _stack_decode_outputs(req, state.outputs)
-            results[req.request_id] = RequestResult(
-                request_id=req.request_id,
-                prefill_output=state.prefill_output,
-                decode_outputs=decode_outputs,
-                retained_history=state.retained_history,
-                final_length=state.cache.length,
-                prompt_tokens=req.prompt_tokens,
-            )
-            self.trace.append(("finish", (req.request_id,)))
-        self.active = still_active
-
-    # ------------------------------------------------------------------
-    def run(self) -> Dict[str, RequestResult]:
-        """Serve all queued requests to completion; returns per-id results."""
-        self.trace = []
-        results: Dict[str, RequestResult] = {}
-        while self.queued or self.active:
-            self._admit()
-            self._decode_round()
-            self._collect(results)
-        return results
 
 
 class SchedulingPolicy:
@@ -720,7 +614,9 @@ class ContinuousScheduler:
     The pool is created lazily from the first admitted request's shapes;
     all requests in one run must share ``(H, D, Dv)`` (one model).  With
     every arrival at 0, the ``fcfs`` policy and an uncontended pool, the
-    event trace reduces exactly to :class:`EngineScheduler`'s.
+    event trace is the lockstep one: FIFO admission while a slot is free,
+    one decode round over the whole active set, completions in admission
+    order.
 
     Parameters
     ----------
@@ -760,14 +656,6 @@ class ContinuousScheduler:
     chunk_tokens:
         Per-request, per-round prefill chunk size (requires
         ``round_token_budget``); 0 keeps prefills unchunked.
-    batched_decode:
-        Fuse each decode round's filter across the whole active set
-        (default on).  Only engaged when the engine's attention policy
-        declares ``supports_batched_decode`` (PADE does; the software
-        baselines fall back to the per-request loop).  Results — outputs,
-        retained sets, timings, traces, preemption decisions — are
-        byte-identical to the per-request loop either way (DESIGN.md
-        §13), so this is purely a throughput knob.
     tiering:
         Two-tier plane memory (DESIGN.md §16): ``True`` / a
         :class:`~repro.engine.cache.TierConfig` arms the spill ladder —
@@ -806,7 +694,6 @@ class ContinuousScheduler:
         chunk_tokens: int = 0,
         round_token_budget: int = 0,
         tenant_weights: Optional[Dict[str, float]] = None,
-        batched_decode: bool = True,
         tiering=None,
         draft_policy="streaming-llm",
         spec_accept_tol: float = 0.05,
@@ -842,7 +729,6 @@ class ContinuousScheduler:
         self.prefix_sharing = bool(prefix_sharing)
         self.chunk_tokens = int(chunk_tokens)
         self.round_token_budget = int(round_token_budget)
-        self.batched_decode = bool(batched_decode)
         self.tenant_weights: Dict[str, float] = dict(tenant_weights or {})
         self.pool: Optional[PlaneBlockPool] = None
         # Bounded-footprint attention policies (H2O's eviction budget,
@@ -1430,8 +1316,9 @@ class ContinuousScheduler:
     def _decode_round(self) -> int:
         """One decode round over the active set; returns steps advanced.
 
-        With ``batched_decode`` on (and a batch-capable attention policy)
-        the round runs append-all-then-filter-once: each request's new
+        When the engine's attention policy declares
+        ``supports_batched_decode`` (PADE does) the round runs
+        append-all-then-filter-once: each request's new
         K/V token is appended in active-set order, the appended-but-
         unfiltered requests accumulate in ``pending``, and one fused
         :meth:`~repro.engine.engine.PadeEngine.decode_attend_batch`
@@ -1446,15 +1333,13 @@ class ContinuousScheduler:
         done-flags the per-request loop would (a request that just
         finished its last step is never evicted), and the already-decoded
         requests' first-token marks and service charges must land exactly
-        as if they had been filtered one at a time.  With batching off,
-        ``pending`` is flushed after every append — byte for byte the
-        legacy interleaved loop.
+        as if they had been filtered one at a time.  For the other
+        policies (the software baselines) ``pending`` is flushed after
+        every append: the interleaved per-request loop.
         """
         round_ids: List[str] = []
         pending: List[Tuple[_RequestState, object]] = []
-        batching = self.batched_decode and getattr(
-            self.engine, "supports_batched_decode", False
-        )
+        batching = getattr(self.engine, "supports_batched_decode", False)
         i = 0
         while i < len(self.active):
             state = self.active[i]

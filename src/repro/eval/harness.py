@@ -939,13 +939,20 @@ def engine_decode_profile(
     model = get_model(model_name)
     cfg = PadeConfig.standard()
     engine = PadeEngine(cfg)
-    for i in range(requests):
-        engine.submit(
-            build_engine_request(
-                f"req{i}", num_heads, context, steps, min(model.head_dim, 64), seed=i
-            )
+    workload = [
+        build_engine_request(
+            f"req{i}", num_heads, context, steps, min(model.head_dim, 64), seed=i
         )
-    results = engine.run()
+        for i in range(requests)
+    ]
+    # Admit every request at once with room for its whole context: the
+    # profile measures the cache, not admission or preemption.
+    results = engine.serve(
+        workload,
+        max_active=requests,
+        token_budget=sum(r.total_tokens + 16 for r in workload),
+        block_size=16,
+    )
     stats = engine.stats
     # A per-call pipeline re-decomposes the whole cache every step.
     percall_rows = sum(
@@ -986,7 +993,6 @@ def serving_profile(
     attention: str = "pade",
     scenario: Optional[str] = None,
     tenants: int = 3,
-    batched: bool = True,
     async_serve: bool = False,
     port: int = 0,
     replicas: int = 1,
@@ -1020,9 +1026,8 @@ def serving_profile(
     ``attention`` selects the attention policy from
     :data:`repro.attention.policy.POLICY_REGISTRY` (PADE or any
     converted baseline), so the same profile sweeps every method.
-    ``batched`` toggles the fused cross-request decode round (results
-    are byte-identical either way; the report's ``batched_rounds`` /
-    ``batch_efficiency`` columns show the fusion occupancy).
+    The report's ``batched_rounds`` / ``batch_efficiency`` columns show
+    the occupancy of the fused cross-request decode rounds.
     ``async_serve`` routes the same workload through the asyncio
     loopback front-end (:mod:`repro.serve`) in deterministic-replay
     mode: the round-clock report is identical to the in-process path and
@@ -1130,7 +1135,6 @@ def serving_profile(
         chunk_tokens=chunk,
         round_token_budget=round_tokens,
         tenant_weights=tenant_weights,
-        batched_decode=batched,
         draft_policy=draft_policy,
         spec_accept_tol=spec_accept_tol,
     )
@@ -1144,13 +1148,12 @@ def serving_profile(
     if replicas > 1:
         # Sharded serving: the workload fans out over subprocess workers,
         # each a full engine with a private pool, behind the affinity
-        # router.  Workers run the standard batched decode path only.
-        if chunk or round_tokens or tenant_weights is not None or not batched \
-                or tiering:
+        # router.  Workers run the standard decode path only.
+        if chunk or round_tokens or tenant_weights is not None or tiering:
             raise ValueError(
                 "replicas > 1 serves through cluster workers, which run the "
-                "standard batched decode path (no chunked prefill, prefill "
-                "cost model, tenant weights, or tiered memory)"
+                "standard decode path (no chunked prefill, prefill cost "
+                "model, tenant weights, or tiered memory)"
             )
         from repro.cluster.server import serve_workload_over_cluster
 
@@ -1207,7 +1210,6 @@ def serving_profile(
         "prefix_sharing": float(prefix_sharing),
         "chunk_tokens": float(chunk),
         "round_token_budget": float(round_tokens),
-        "batched_decode": float(batched),
         "async_serve": float(async_serve),
         "replicas_configured": float(replicas),
         "routing": routing,

@@ -98,14 +98,16 @@ class ServeConnection:
         """
         rid = request.request_id
         loop = asyncio.get_running_loop()
-        self._accept[rid] = loop.create_future()
+        # Keep a local handle: the router pops the entry as soon as the
+        # reply arrives, which may be before drain() returns.
+        accepted = self._accept[rid] = loop.create_future()
         self._done.setdefault(rid, loop.create_future())
         msg = {"type": "submit", "request": encode_request(request)}
         if arrival is not None:
             msg["arrival"] = arrival
         self._writer.write(encode_message(msg))
         await self._writer.drain()
-        reply = await self._accept[rid]
+        reply = await accepted
         if reply["type"] == "rejected":
             self._done.pop(rid, None)
         return reply

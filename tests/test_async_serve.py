@@ -119,6 +119,52 @@ class TestProtocol:
         assert array_digest(a) != array_digest(b)
 
 
+class _ReplyDuringDrainWriter:
+    """Writer stub whose ``drain()`` delivers the server's reply to a
+    submit and returns only once the connection's router has handled it
+    — the reply-before-drain-returns ordering a fast server can produce."""
+
+    def __init__(self, reader):
+        self.reader = reader
+        self.conn = None
+        self.sent = []
+
+    def write(self, data):
+        self.sent.append(decode_message(data))
+
+    async def drain(self):
+        msg = self.sent[-1]
+        if msg["type"] != "submit":
+            return
+        rid = msg["request"]["request_id"]
+        self.reader.feed_data(encode_message({"type": "accepted", "request_id": rid}))
+        await _wait_for(lambda: rid not in self.conn._accept, what="the router")
+
+    def close(self):
+        self.reader.feed_eof()
+
+    async def wait_closed(self):
+        pass
+
+
+class TestClient:
+    def test_submit_survives_reply_during_drain(self):
+        async def run():
+            reader = asyncio.StreamReader()
+            writer = _ReplyDuringDrainWriter(reader)
+            conn = writer.conn = ServeConnection(reader, writer)
+            try:
+                reply = await asyncio.wait_for(conn.submit(_req("early")), timeout=10)
+            finally:
+                await conn.close()
+            assert reply == {"type": "accepted", "request_id": "early"}
+            # The stub server never finishes the request; closing fails it.
+            with pytest.raises(ConnectionError):
+                await conn.result("early")
+
+        asyncio.run(run())
+
+
 class TestParity:
     def test_loopback_replay_matches_in_process(self):
         workload = build_serving_workload(5, 2, 24, 4, 8, rate=0.5, seed=3)

@@ -10,21 +10,26 @@ Three parity layers, strictest first:
 * **engine** — ``decode_step_batch`` must match interleaved
   ``decode_step`` calls exactly (outputs, retained sets, shared filter
   counters), and fall back to the loop when the attention policy does
-  not declare ``supports_batched_decode``;
-* **serving** — ``engine.serve(..., batched_decode=True)`` must be
-  byte-identical to ``batched_decode=False`` end to end (results,
-  retained history, trace, timings) on both backends, including under
-  preemption pressure and deadline aborts, and the batched run must
+  not declare ``supports_batched_decode``; ``attend_batch`` must reach
+  ``filter_heads`` for one request and ``filter_heads_batch`` for more;
+* **serving** — ``engine.serve`` under the PADE policy must be
+  byte-identical to the same serve under a PADE policy that declares no
+  batch support (the per-request loop) end to end (results, retained
+  history, trace, timings) on both backends, including under
+  preemption pressure and deadline aborts, and the fused run must
   populate the ``batched_rounds`` / ``batch_efficiency`` accounting.
 """
 
 from __future__ import annotations
+
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.attention.policy import PadePolicy
 from repro.core import PadeConfig
 from repro.core.backend import get_backend
 from repro.core.bsf_fast import bsf_filter_fast_heads
@@ -223,20 +228,68 @@ def test_decode_step_batch_single_request_uses_loop_path():
     assert engine.stats.batched_rounds == 0
 
 
+class _CountingBackend:
+    """The fast backend, counting calls per filter entry point."""
+
+    name = "fast+count"
+
+    def __init__(self):
+        self.inner = get_backend("fast")
+        self.calls = Counter()
+
+    def __getattr__(self, name):
+        return getattr(self.inner, name)
+
+    def filter_heads(self, *args, **kwargs):
+        self.calls["filter_heads"] += 1
+        return self.inner.filter_heads(*args, **kwargs)
+
+    def filter_heads_batch(self, *args, **kwargs):
+        self.calls["filter_heads_batch"] += 1
+        return self.inner.filter_heads_batch(*args, **kwargs)
+
+
+def test_attend_batch_picks_kernel_by_request_count():
+    """One request reaches the head kernel; two or more reach one fused
+    ``filter_heads_batch`` call."""
+    backend = _CountingBackend()
+    engine = PadeEngine(PadeConfig.standard(), backend=backend)
+    requests = _engine_requests(3)
+    req = requests[0]
+    num_heads, _, head_dim = req.k.shape
+    dense = engine.new_cache(num_heads, head_dim, req.v.shape[2])
+    engine.prefill(dense, req.k, req.v, q=req.q_prompt)
+    assert backend.calls == {"filter_heads": 1}
+
+    caches = _prefilled(engine, requests)
+
+    def step(i, t):
+        r = requests[i]
+        return caches[i], r.decode_q[:, t], r.decode_k[:, t], r.decode_v[:, t]
+
+    engine.decode_step_batch([step(0, 0)])
+    engine.attend_batch([caches[0]], [req.decode_q[:, 0][:, None, :]])
+    assert backend.calls == {"filter_heads": 3}
+    assert engine.stats.batched_rounds == 0
+
+    engine.decode_step_batch([step(1, 0), step(2, 0)])
+    engine.decode_step_batch([step(i, 1) for i in range(3)])
+    assert backend.calls == {"filter_heads": 3, "filter_heads_batch": 2}
+    assert engine.stats.batched_rounds == 2
+
+
 def test_unsupported_policy_falls_back_to_loop():
     """Policies without supports_batched_decode serve via the loop."""
     requests = _engine_requests(3)
     engine = PadeEngine(PadeConfig.standard(), backend="fast", policy="h2o")
     assert not engine.supports_batched_decode
-    results = engine.serve(
-        requests, token_budget=512, block_size=16, batched_decode=True
-    )
+    results = engine.serve(requests, token_budget=512, block_size=16)
     assert all(r.status == "ok" for r in results.values())
     assert engine.stats.batched_rounds == 0
 
 
 # ----------------------------------------------------------------------
-# Serving parity: batched_decode=True == False, byte for byte
+# Serving parity: fused rounds == per-request loop, byte for byte
 # ----------------------------------------------------------------------
 def _result_digest(results):
     """Order-stable byte digest of everything a caller can observe."""
@@ -255,11 +308,18 @@ def _result_digest(results):
     return out
 
 
+class _LoopPadePolicy(PadePolicy):
+    """PADE without batch support: the scheduler runs the per-request loop."""
+
+    supports_batched_decode = False
+
+
 def _serve(backend, batched, requests=None, **serve_kw):
-    engine = PadeEngine(PadeConfig.standard(), backend=backend)
+    policy = PadePolicy() if batched else _LoopPadePolicy()
+    engine = PadeEngine(PadeConfig.standard(), backend=backend, policy=policy)
     if requests is None:
         requests = _engine_requests(5, deadline_ms=None)
-    results = engine.serve(requests, batched_decode=batched, **serve_kw)
+    results = engine.serve(requests, **serve_kw)
     return results, engine.last_serve, engine.stats
 
 
@@ -303,16 +363,6 @@ def test_serve_batched_deterministic():
     b_results, b_sched, _ = _serve("fast", True, token_budget=48, block_size=4)
     assert _result_digest(a_results) == _result_digest(b_results)
     assert a_sched.trace == b_sched.trace
-
-
-def test_legacy_scheduler_uses_batched_rounds():
-    """EngineScheduler's round goes through decode_step_batch too."""
-    engine = PadeEngine(PadeConfig.standard(), backend="fast", max_active=4)
-    for req in _engine_requests(3):
-        engine.submit(req)
-    results = engine.run()
-    assert all(r.status == "ok" for r in results.values())
-    assert engine.stats.batched_rounds > 0
 
 
 def test_summarize_serving_reports_batch_columns():

@@ -8,7 +8,9 @@ The invariants ISSUE 2 pins down:
 * preempted requests still finish, with retained sets byte-identical to
   an uncontended (ample-budget) run;
 * with every arrival at 0, ``fcfs`` and an uncontended pool, the event
-  trace reduces exactly to the old lockstep :class:`EngineScheduler`.
+  trace reduces exactly to the lockstep one (FIFO admission while a slot
+  is free, whole-batch decode rounds), with retained sets and outputs
+  equal to a per-request dense-cache decode loop.
 """
 
 from __future__ import annotations
@@ -34,6 +36,23 @@ def _serve(requests, **kwargs):
     engine = PadeEngine()
     results = engine.serve(requests, **kwargs)
     return results, engine.last_serve
+
+
+def _dense_decode(engine, req):
+    """Prefill a private dense cache, decode every step; returns the
+    retained-set bytes (``RequestResult.retained_bytes`` encoding) and the
+    ``(H, T, Dv)`` decode outputs."""
+    num_heads, _, head_dim = req.k.shape
+    cache = engine.new_cache(num_heads, head_dim, req.v.shape[2])
+    engine.prefill(cache, req.k, req.v, q=req.q_prompt, total_tokens=req.total_tokens)
+    retained, outputs = [], []
+    for t in range(req.decode_steps):
+        res = engine.decode_step(
+            cache, req.decode_q[:, t], req.decode_k[:, t], req.decode_v[:, t]
+        )
+        retained.append(np.packbits(res.retained[:, 0, :].astype(np.uint8)).tobytes())
+        outputs.append(res.output[:, 0, :])
+    return b"".join(retained), np.stack(outputs, axis=1)
 
 
 class TestArrivalSemantics:
@@ -139,19 +158,32 @@ class TestPreemption:
 class TestPolicies:
     def test_fcfs_reduces_to_lockstep_trace_on_ample_pool(self):
         reqs = [build_engine_request(f"r{i}", 2, 24, 3, head_dim=8, seed=i) for i in range(3)]
-        lock = PadeEngine(max_active=2)
-        for r in reqs:
-            lock.submit(r)
-        lock_results = lock.run()
         cont = PadeEngine()
         cont_results = cont.serve(reqs, max_active=2, token_budget=4096, block_size=8)
-        assert cont.last_serve.trace == lock.schedule_trace
-        for rid in lock_results:
-            assert (
-                lock_results[rid].retained_bytes() == cont_results[rid].retained_bytes()
-            )
+        # The trace a lockstep FIFO scheduler (max_active=2) records for
+        # this workload: admit while a slot is free, decode the whole
+        # batch each round, admit r2 once both slots have drained.
+        lockstep_trace = [
+            ("prefill", ("r0",)),
+            ("prefill", ("r1",)),
+            ("decode_round", ("r0", "r1")),
+            ("decode_round", ("r0", "r1")),
+            ("decode_round", ("r0", "r1")),
+            ("finish", ("r0",)),
+            ("finish", ("r1",)),
+            ("prefill", ("r2",)),
+            ("decode_round", ("r2",)),
+            ("decode_round", ("r2",)),
+            ("decode_round", ("r2",)),
+            ("finish", ("r2",)),
+        ]
+        assert cont.last_serve.trace == lockstep_trace
+        dense = PadeEngine()
+        for req in reqs:
+            retained, outputs = _dense_decode(dense, req)
+            assert retained == cont_results[req.request_id].retained_bytes()
             np.testing.assert_array_equal(
-                lock_results[rid].decode_outputs, cont_results[rid].decode_outputs
+                outputs, cont_results[req.request_id].decode_outputs
             )
 
     def test_shortest_prompt_reorders_admission(self):
