@@ -9,8 +9,8 @@ requests with ragged context lengths, each advancing one token per round
   serves);
 * **fused** — ``engine.decode_step_batch``: every request's K/V token is
   appended, then **one** cross-request ``filter_heads_batch`` call covers
-  the whole ragged active set (padding + validity mask + batch-wide
-  column compaction).
+  the whole ragged active set (padding + validity mask, one dense BLAS
+  product per request and head).
 
 Time-per-round is measured at active-set sizes 1→32 (best of
 ``REPEATS`` runs per mode, fresh engines each run).  The default
@@ -20,13 +20,16 @@ round over many modest per-request contexts at serving KV-head counts
 ``num_kv_heads``), where the per-request path is dispatch-bound and the
 fused round amortizes one dispatch across the set.  Growing ``--context``
 moves every size toward the compute-bound roofline where both paths
-converge on the same arithmetic and the ratio falls toward 1.
+converge on the same arithmetic and the ratio falls toward 1.  A second
+arm (JSON key ``long_context``) reruns active sets 8 and 16 at a base
+context of 1024 tokens, the serving-length regime where the fused
+round's per-key arithmetic, not dispatch, decides the ratio.
 
 The script asserts (a) retained sets are byte-identical between the two
 modes and across backends at every size, (b) on the fast backend the
-fused round beats the loop at every active-set size >= 8, and (c) the
-fused round is >= 3x faster at active-set 16 (the ISSUE 6 acceptance
-bar).
+fused round beats the loop at every active-set size >= 8, in both arms,
+and (c) the fused round is >= 3x faster at active-set 16 of the default
+sweep (the ISSUE 6 acceptance bar).
 
     python benchmarks/bench_batch_decode.py [--context S] [--steps T]
     python benchmarks/bench_batch_decode.py --quick --json-out BENCH_batch_decode.json
@@ -59,6 +62,10 @@ RAGGED_PERIOD = 4
 
 #: Timing repetitions per (backend, size, mode); the minimum is reported.
 REPEATS = 3
+
+#: The long-context arm: base prompt length and active-set sizes.
+LONG_CONTEXT = 1024
+LONG_CONTEXT_SIZES = (8, 16)
 
 
 def _requests(active, context, steps, num_heads, head_dim):
@@ -173,8 +180,11 @@ def measure_active_set(backend, active, context, steps, num_heads, head_dim):
 
 
 def run_roofline(active_sizes, context, steps, num_heads=2, head_dim=48,
-                 backends=("fast", "reference")):
-    """Sweep time-per-round vs active-set size on every backend."""
+                 backends=("fast", "reference"), headline=True):
+    """Sweep time-per-round vs active-set size on every backend.
+
+    ``headline=False`` drops the >= 3x gate at active 16, which holds
+    only in the dispatch-bound default regime."""
     out = {
         "active_sizes": list(active_sizes),
         "context": context,
@@ -188,11 +198,11 @@ def run_roofline(active_sizes, context, steps, num_heads=2, head_dim=48,
             measure_active_set(backend, a, context, steps, num_heads, head_dim)
             for a in active_sizes
         ]
-    _check(out)
+    _check(out, headline)
     return out
 
 
-def _check(out) -> None:
+def _check(out, headline=True) -> None:
     """The acceptance assertions (raise AssertionError on regression)."""
     per_backend = out["backends"]
     for backend, rows in per_backend.items():
@@ -219,7 +229,7 @@ def _check(out) -> None:
                 f"fused round slower than the loop at active={active} "
                 f"({row['speedup']:.2f}x)"
             )
-    if 16 in fast:
+    if headline and 16 in fast:
         assert fast[16]["speedup"] >= 3.0, (
             f"fused speedup at active=16 is {fast[16]['speedup']:.1f}x < 3x"
         )
@@ -259,14 +269,22 @@ def main() -> None:
           f"{args.context} (+{RAGGED_STRIDE}*(i%{RAGGED_PERIOD}) ragged), "
           f"{args.steps} rounds, active sizes {sizes}")
     out = run_roofline(sizes, args.context, args.steps, args.heads, args.head_dim)
-    for backend, rows in out["backends"].items():
-        print(f"  [{backend}]")
-        for row in rows:
-            print(f"    active={row['active']:3d}  loop {row['loop_round_ms']:8.2f} ms/round"
-                  f"  fused {row['fused_round_ms']:8.2f} ms/round"
-                  f"  ({row['speedup']:4.1f}x, lattice {row['batch_efficiency']:.0%} full)")
+    out["long_context"] = run_roofline(
+        LONG_CONTEXT_SIZES, LONG_CONTEXT, args.steps, args.heads, args.head_dim,
+        headline=False,
+    )
+    for arm in (out, out["long_context"]):
+        print(f"  base context {arm['context']}:")
+        for backend, rows in arm["backends"].items():
+            print(f"  [{backend}]")
+            for row in rows:
+                print(f"    active={row['active']:3d}"
+                      f"  loop {row['loop_round_ms']:8.2f} ms/round"
+                      f"  fused {row['fused_round_ms']:8.2f} ms/round"
+                      f"  ({row['speedup']:4.1f}x,"
+                      f" lattice {row['batch_efficiency']:.0%} full)")
     print("  PASS: fused == loop retention on every backend; fast backend "
-          "fused round faster at active >= 8"
+          "fused round faster at active >= 8 at both contexts"
           + (", >= 3x at 16" if 16 in out["active_sizes"] else ""))
     if args.json_out:
         with open(args.json_out, "w") as fh:

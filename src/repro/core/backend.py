@@ -207,7 +207,13 @@ class ReferenceBackend:
 
 
 class FastBackend(ReferenceBackend):
-    """The round-vectorized kernels (one matmul per bit round).
+    """The round-vectorized kernels.
+
+    ``filter`` and ``filter_heads`` take one matmul/einsum per bit round;
+    ``filter_heads_batch`` takes one dense BLAS product per (request,
+    head) covering every plane up front, then runs the threshold
+    recursion masked over the padded lattice
+    (:mod:`repro.core.bsf_fast_batch`).
 
     ``filter_row`` is inherited from the reference backend: ISTA's
     streaming windows carry an externally owned :class:`GuardedFilter`

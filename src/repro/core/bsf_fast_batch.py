@@ -3,12 +3,11 @@
 :func:`repro.core.bsf_fast.bsf_filter_fast_heads` fuses one request's
 filter round across its heads; a busy continuous-batching round still
 dispatches it once *per request*, so at an active-set size of 16+ the
-engine pays 16 small einsums (and their Python round loops) where one big
-one would do.  :func:`bsf_filter_fast_batch` closes that gap: the ragged
+engine pays 16 small products (and their Python round loops) where one
+pass would do.  :func:`bsf_filter_fast_batch` closes that gap: the ragged
 per-request key sequences are padded to a shared ``S_max`` with a
 **validity mask** and the per-(request, head, row) threshold recursion
-runs over one ``(R, Hh, P, S_max)`` lattice — one einsum per bit round
-covers the whole active set.
+runs dense over one ``(R, Hh, P, S_max)`` lattice.
 
 Equivalence rule (DESIGN.md §13): the threshold recursion is row-private
 — ``max_lb`` folds only over that (request, head, row)'s alive keys — and
@@ -20,28 +19,24 @@ request alone, including the ``bit_plane_loads`` / ``effective_bit_ops``
 / ``naive_bit_ops`` counters, which are accumulated with the request axis
 kept separate.
 
-The column-compaction trick carries over **per request**, not batch-wide:
-requests retain different token positions, so the union of alive columns
-across a busy active set stays dense even when every request's own set is
-sparse — compacting on the union would throw the trick away exactly when
-it matters.  Instead, every request's own alive columns (any head/row)
-fill a dense prefix of a shared-width compacted lattice; rows whose
-request has fewer alive columns than the batch maximum point their tail
-at a **dead sentinel column** appended past ``S_max``, which is never
-alive, never protected, and never read back — so tail cells mask
-themselves out of every update and the einsum width per round is
-``max_i |alive_i|``, the same per-request compaction
-:func:`bsf_filter_fast_heads` enjoys.
+**Dense BLAS product.**  The plane dot products do not depend on which
+keys are still alive, so they are computed up front, not per round: for
+each (request, head) the uint8 planes are cast into one reused float
+buffer and multiplied by the query block plus one all-ones column — a
+single BLAS ``matmul`` yielding every plane's ``q · b`` for every key,
+and in the extra column every plane column's popcount (the counters'
+input).  Pruning then only masks the int64 recursion: compacting dead
+columns away saves almost nothing on a CPU, since a column stays live
+while any head or row of its request keeps it.
 
-All mutable state is *compact-resident*: because a request's alive
-column set only ever shrinks, the recursion never needs to scatter state
-back to the padded lattice each round.  When a column goes dead in every
-(head, row) it is dropped from the compacted lattice, writing its final
-``planes_processed`` (its death round) to the output lattice exactly
-once; survivors scatter their retained/score/processed state once after
-the last round.  Compaction only skips provably dead work, so it never
-affects results — and the ragged requests' padding columns are dead from
-round 0, so they fall out of the very first shrink.
+Exactness: every partial sum inside the product is an integer of
+magnitude at most the row's ``sum |q|`` (planes are 0/1), so a float32
+product is exact while that bound is below ``2^24`` — an 8-bit query at
+head dim 48 peaks at ``128 · 48``.  Past the bound the product runs in
+float64 (exact below ``2^53``).  The product buffer stays no larger than
+the uint8 plane lattice it replaces: when ``(P + 1)`` product columns
+outweigh ``D`` plane bytes per key, the product is taken one plane per
+round instead of all planes at once.
 """
 
 from __future__ import annotations
@@ -55,6 +50,31 @@ from repro.core.bui import build_bui_lut
 from repro.quant.bitplane import BitPlanes, plane_weights
 
 __all__ = ["bsf_filter_fast_batch"]
+
+
+def _plane_products(
+    q_aug: np.ndarray, key_planes: Sequence[BitPlanes], planes: slice, s_max: int
+) -> np.ndarray:
+    """``planes_i[planes, h] @ q_aug[i, h]^T`` for every (request, head).
+
+    Returns ``(R, Hh, n, s_max, P + 1)`` in ``q_aug``'s float dtype, ``n``
+    the number of planes in the slice; keys past a request's own length
+    are zero.  Keys are the BLAS rows: with the query block as rows
+    instead, OpenBLAS at its default thread count ran these products
+    ~10x slower on a 2-vCPU host (DESIGN.md §13).
+    """
+    num_requests, num_heads, cols, head_dim = q_aug.shape
+    num_planes = len(range(*planes.indices(key_planes[0].bits)))
+    out = np.empty((num_requests, num_heads, num_planes, s_max, cols), dtype=q_aug.dtype)
+    buf = np.zeros((num_planes, s_max, head_dim), dtype=q_aug.dtype)
+    keys = buf.reshape(num_planes * s_max, head_dim)
+    for i, kp in enumerate(key_planes):
+        seq_len = kp.value_shape[1]
+        buf[:, seq_len:] = 0
+        for h in range(num_heads):
+            buf[:, :seq_len] = kp.planes[planes, h]
+            np.matmul(keys, q_aug[i, h].T, out=out[i, h].reshape(-1, cols))
+    return out
 
 
 def bsf_filter_fast_batch(
@@ -121,42 +141,34 @@ def bsf_filter_fast_batch(
         [np.broadcast_to(np.asarray(g, dtype=np.float64), (num_heads,)) for g in guards]
     )  # (R, Hh)
 
-    # Pad the ragged planes into one lattice, laid out (bits, R, S, Hh, D)
-    # so the per-round column gather is leading-axis fancy indexing (the
-    # fast path — contiguous (Hh, D) blocks per picked column).  Only each
-    # request's own columns and the shared all-zero sentinel column (index
-    # s_max, where compaction tails point) are ever gathered, so the
-    # ragged padding gap can stay uninitialised — no multi-megabyte memset
-    # per decode round.
-    s_pad = s_max + 1
-    planes = np.empty((bits, num_requests, s_pad, num_heads, head_dim), dtype=np.uint8)
-    planes[:, :, s_max] = 0
-    for i, kp in enumerate(key_planes):
-        planes[:, i, : seq_lens[i]] = np.asarray(kp.planes).transpose(0, 2, 1, 3)
+    # Product operand: the query rows plus one all-ones row, whose product
+    # column is each plane column's popcount.  float32 is exact while no
+    # partial sum can reach 2^24 (module docstring); float64 beyond.
+    magnitude = max(int(np.abs(q).sum(axis=3).max(initial=0)), head_dim)
+    if magnitude >= 2**53:
+        raise ValueError(f"query magnitude {magnitude} exceeds exact float64 products")
+    dtype = np.float32 if magnitude < 2**24 else np.float64
+    q_aug = np.ones((num_requests, num_heads, num_rows + 1, head_dim), dtype=dtype)
+    q_aug[:, :, :num_rows] = q
+    # All planes at once while the product is no larger than the uint8
+    # plane lattice (P + 1 product columns vs D plane bytes per key).
+    products = None
+    if (num_rows + 1) * np.dtype(dtype).itemsize <= head_dim:
+        products = _plane_products(q_aug, key_planes, slice(0, bits), s_max)
 
-    # Compact-resident state, laid out (R, W, Hh, P) so per-request column
-    # gathers are plain leading-axis fancy indexing.  ``orig_cols`` maps
-    # compact slots back to original key positions; tail slots carry the
-    # sentinel id ``s_max`` and are permanently dead.
-    width = s_max
-    orig_cols = np.full((num_requests, width), s_max, dtype=np.int64)
-    alive_c = np.zeros((num_requests, width, num_heads, num_rows), dtype=bool)
-    prot_c = np.zeros((num_requests, width, num_heads, num_rows), dtype=bool)
+    shape = (num_requests, num_heads, num_rows, s_max)
+    alive = np.zeros(shape, dtype=bool)
+    protected = np.zeros(shape, dtype=bool)
     for i, s in enumerate(seq_lens):
-        orig_cols[i, :s] = np.arange(s)
         sub = (num_heads, num_rows, s)
         if alloweds[i] is None:
-            alive_c[i, :s] = True
+            alive[i, :, :, :s] = True
         else:
-            alive_c[i, :s] = np.broadcast_to(
-                np.asarray(alloweds[i], dtype=bool), sub
-            ).transpose(2, 0, 1)
+            alive[i, :, :, :s] = np.broadcast_to(np.asarray(alloweds[i], dtype=bool), sub)
         if protects[i] is not None:
-            prot_c[i, :s] = np.broadcast_to(
-                np.asarray(protects[i], dtype=bool), sub
-            ).transpose(2, 0, 1)
-    partial_c = np.zeros((num_requests, width, num_heads, num_rows), dtype=np.int64)
-    pp_c = np.zeros((num_requests, width, num_heads, num_rows), dtype=np.int64)
+            protected[i, :, :, :s] = np.broadcast_to(np.asarray(protects[i], dtype=bool), sub)
+    partial = np.zeros(shape, dtype=np.int64)
+    planes_processed = np.zeros(shape, dtype=np.int64)
 
     lut = build_bui_lut(q.reshape(num_requests * num_heads * num_rows, head_dim), bits=bits)
     i_min = lut.i_min.reshape(num_requests, num_heads, num_rows, bits + 1)
@@ -172,102 +184,42 @@ def bsf_filter_fast_batch(
     # the row is permanently dead anyway.
     int_floor = np.int64(-(2**62))
 
-    # Output lattices in original column space; dropped columns scatter
-    # their death-round ``planes_processed`` here exactly once, survivors
-    # scatter everything once after the final round.
-    retained_out = np.zeros((num_requests, num_heads, num_rows, s_max), dtype=bool)
-    pp_out = np.zeros((num_requests, num_heads, num_rows, s_max), dtype=np.int64)
-    scores_out = np.zeros((num_requests, num_heads, num_rows, s_max), dtype=np.int64)
-
-    req_ix = np.arange(num_requests)[:, None]
+    eff_ops = np.zeros(num_requests, dtype=np.int64)
+    naive_ops = np.zeros(num_requests, dtype=np.int64)
     for r in range(bits):
-        # Per-request compaction: shrink the shared width to the busiest
-        # request's alive column count.  A column dropped here died in an
-        # earlier round, so its frozen ``pp_c`` is its death round — write
-        # it out now, it leaves the compact lattice for good.  Compaction
-        # only skips provably dead (masked) work, so *when* it runs is
-        # pure tuning: small shrinks are skipped because five gathers
-        # cost more than the einsum columns they would save.
-        col_alive = alive_c.any(axis=(2, 3))  # (R, width)
-        n_cols = col_alive.sum(axis=1)
-        new_w = int(n_cols.max())
-        if new_w == 0:
+        if not alive.any():
             break
-        if new_w < width - (width >> 3):
-            if r > 0:  # at r == 0 dropped columns were never alive: pp is 0
-                dropped = ~col_alive & (orig_cols < s_max)
-                if dropped.any():
-                    ri, ci = np.nonzero(dropped)
-                    pp_out[ri, :, :, orig_cols[ri, ci]] = pp_c[ri, ci]
-            sel = np.zeros((num_requests, new_w), dtype=np.int64)
-            for i in range(num_requests):
-                cols_i = np.flatnonzero(col_alive[i])
-                sel[i, : cols_i.size] = cols_i
-            tail = np.arange(new_w)[None, :] >= n_cols[:, None]
-            orig_cols = np.where(tail, s_max, orig_cols[req_ix, sel])
-            alive_c = alive_c[req_ix, sel]
-            alive_c[tail] = False  # tail slots duplicate slot data; kill them
-            prot_c = prot_c[req_ix, sel]
-            partial_c = partial_c[req_ix, sel]
-            pp_c = pp_c[req_ix, sel]
-            width = new_w
-
-        # Leading-axis fancy gather (not take_along_axis — broadcasting
-        # ids over the D axis makes numpy walk cell by cell).  Result is
-        # (R, width, Hh, D); the sentinel column is all zeros and its
-        # cells are dead anyway.
-        plane = planes[r][req_ix, orig_cols]
-        delta = np.einsum("rhpd,rshd->rshp", q, plane, dtype=np.int64)
-        partial_c = np.where(alive_c, partial_c + weights[r] * delta, partial_c)
-        pp_c += alive_c  # processed rounds are consecutive from round 0
+        if products is None:
+            prod = _plane_products(q_aug, key_planes, slice(r, r + 1), s_max)[:, :, 0]
+        else:
+            prod = products[:, :, r]  # (R, Hh, S_max, P + 1)
+        delta = prod[..., :num_rows].transpose(0, 1, 3, 2).astype(np.int64)
+        popcount = prod[:, :, None, :, num_rows].astype(np.int64)  # (R, Hh, 1, S_max)
+        naive_ops += (popcount * alive).sum(axis=(1, 2, 3))
+        eff_ops += (np.minimum(popcount, head_dim - popcount) * alive).sum(axis=(1, 2, 3))
+        partial = np.where(alive, partial + weights[r] * delta, partial)
+        planes_processed += alive  # processed rounds are consecutive from round 0
 
         # Row-private threshold fold, all-integer until the last step: the
         # per-round BUI addend i_min[r+1] is constant per (request, head,
         # row), so folding max over the alive partials first and adding it
         # after is exact (int64 throughout, no float rounding).
-        part_max = np.where(alive_c, partial_c, int_floor).max(axis=1)
+        part_max = np.where(alive, partial, int_floor).max(axis=3)
         max_lb = np.maximum(max_lb, part_max + i_min[:, :, :, r + 1])
         threshold = np.where(finite_guard[:, :, None], max_lb - guard_mat[:, :, None], -np.inf)
-        ub = partial_c + i_max[:, :, :, r + 1][:, None]
-        alive_c &= (ub >= threshold[:, None]) | prot_c
+        ub = partial + i_max[:, :, :, r + 1, None]
+        alive &= (ub >= threshold[:, :, :, None]) | protected
 
-    # Columns still resident (alive or died in the final rounds without a
-    # shrink) scatter their state back to original positions in one shot.
-    resident = orig_cols < s_max
-    if resident.any():
-        ri, ci = np.nonzero(resident)
-        oc = orig_cols[ri, ci]
-        retained_out[ri, :, :, oc] = alive_c[ri, ci]
-        pp_out[ri, :, :, oc] = pp_c[ri, ci]
-        scores_out[ri, :, :, oc] = np.where(alive_c[ri, ci], partial_c[ri, ci], 0)
-
-    # Deferred counters: a cell processed for ``pp`` rounds consumed
-    # planes 0..pp-1, so per-cell op counts are prefix sums of the
-    # per-column popcounts indexed by the cell's final ``pp`` — no
-    # per-round reductions needed.  ``cum[0] == 0`` guards the
-    # uninitialised padding columns (their ``pp`` is 0).
-    pc_all = planes.sum(axis=4, dtype=np.int64)  # (bits, R, s_pad, Hh)
-    naive_cum = np.zeros((bits + 1,) + pc_all.shape[1:], dtype=np.int64)
-    np.cumsum(pc_all, axis=0, out=naive_cum[1:])
-    eff_cum = np.zeros_like(naive_cum)
-    np.cumsum(np.minimum(pc_all, head_dim - pc_all), axis=0, out=eff_cum[1:])
-    ri = np.arange(num_requests)[:, None, None, None]
-    hi = np.arange(num_heads)[None, :, None, None]
-    ci = np.arange(s_max)[None, None, None, :]
-    loads = pp_out.sum(axis=(1, 2, 3))  # bit_plane_loads == sum of rounds processed
-    eff_ops = eff_cum[pp_out, ri, ci, hi].sum(axis=(1, 2, 3))
-    naive_ops = naive_cum[pp_out, ri, ci, hi].sum(axis=(1, 2, 3))
-
-    results = []
-    for i, s in enumerate(seq_lens):
-        results.append(
-            BSFResult(
-                retained=retained_out[i, :, :, :s],
-                planes_processed=pp_out[i, :, :, :s],
-                scores=scores_out[i, :, :, :s],
-                bit_plane_loads=int(loads[i]),
-                effective_bit_ops=int(eff_ops[i]),
-                naive_bit_ops=int(naive_ops[i]),
-            )
+    scores = np.where(alive, partial, 0)
+    loads = planes_processed.sum(axis=(1, 2, 3))  # one plane load per processed round
+    return [
+        BSFResult(
+            retained=alive[i, :, :, :s],
+            planes_processed=planes_processed[i, :, :, :s],
+            scores=scores[i, :, :, :s],
+            bit_plane_loads=int(loads[i]),
+            effective_bit_ops=int(eff_ops[i]),
+            naive_bit_ops=int(naive_ops[i]),
         )
-    return results
+        for i, s in enumerate(seq_lens)
+    ]

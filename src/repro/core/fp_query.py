@@ -50,7 +50,16 @@ def align_query(q_row: np.ndarray, mantissa_bits: int = 12) -> AlignedQuery:
     if max_abs == 0.0:
         return AlignedQuery(np.zeros(q.shape, dtype=np.int64), 0, 0.0)
     qmax = (1 << (mantissa_bits - 1)) - 1
-    exponent = int(np.ceil(np.log2(max_abs / qmax)))
+    ratio = max_abs / qmax
+    if ratio >= np.finfo(np.float64).tiny:
+        exponent = int(np.ceil(np.log2(ratio)))
+    else:
+        # A subnormal ratio has lost bits (or underflowed to 0): take the
+        # smallest exponent whose scale covers max_abs (qmax * 2^e is
+        # exact down to 2^-1074).
+        exponent = -1074
+        while max_abs > qmax * 2.0**exponent:
+            exponent += 1
     scale = 2.0 ** exponent
     mantissa = np.floor(q / scale + 0.5).astype(np.int64)
     mantissa = np.clip(mantissa, -qmax - 1, qmax)

@@ -63,7 +63,10 @@ Two serving-specific choices apply to both:
 * **Head-major layout.**  Planes are stored as one ``(bits, H, S, D)``
   array so the head-batched kernel
   (:func:`repro.core.bsf_fast.bsf_filter_fast_heads`) can consume a round
-  for all heads with a single einsum, no per-call stacking.
+  for all heads with a single einsum, and the cross-request kernel
+  (:func:`repro.core.bsf_fast_batch.bsf_filter_fast_batch`) can cast one
+  head's every plane into its product buffer with one strided copy — no
+  per-call stacking.
 """
 
 from __future__ import annotations

@@ -17,8 +17,9 @@ rebuilt per call), the engine is the layer a serving stack talks to:
   request dispatches ``KernelBackend.filter_heads`` (all heads in one
   einsum per round, :func:`repro.core.bsf_fast.bsf_filter_fast_heads` on
   the ``"fast"`` backend), two or more dispatch one fused
-  ``filter_heads_batch`` over the ragged set, and :meth:`PadeEngine.attend`
-  is the one-request case;
+  ``filter_heads_batch`` over the ragged set (one dense BLAS product per
+  request and head, then a masked threshold recursion, on ``"fast"``),
+  and :meth:`PadeEngine.attend` is the one-request case;
 * **request scheduling**: :meth:`PadeEngine.serve` runs the
   continuous-batching path — arrival-aware admission every round over a
   paged block pool with a global token budget and preemption under

@@ -306,8 +306,11 @@ class AsyncPadeServer:
                 if kind == "submit":
                     self._on_submit(conn, msg)
                 elif kind == "cancel":
-                    self.scheduler.cancel(str(msg["request_id"]))
-                    self._wake.set()
+                    if "request_id" not in msg:
+                        self._send(conn, {"type": "error", "error": "cancel needs a request_id"})
+                    else:
+                        self.scheduler.cancel(str(msg["request_id"]))
+                        self._wake.set()
                 elif kind == "shutdown":
                     self._draining = True
                     self._shutdown_conns.append(conn)

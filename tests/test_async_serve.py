@@ -295,6 +295,27 @@ class TestCancellation:
 
         asyncio.run(run())
 
+    def test_cancel_without_request_id_replies_error_and_keeps_connection(self):
+        async def run():
+            server = await _start()
+            reader, writer = await asyncio.open_connection(server.host, server.port)
+            try:
+                writer.write(encode_message({"type": "cancel"}))
+                await writer.drain()
+                reply = decode_message(await asyncio.wait_for(reader.readline(), 10.0))
+                assert reply["type"] == "error"
+                # The same connection still serves requests.
+                writer.write(encode_message({"type": "stats"}))
+                await writer.drain()
+                reply = decode_message(await asyncio.wait_for(reader.readline(), 10.0))
+                assert reply["type"] == "stats"
+            finally:
+                writer.close()
+                await writer.wait_closed()
+            await server.stop()
+
+        asyncio.run(run())
+
 
 class TestBackpressure:
     def test_overloaded_rejection_is_bounded_by_queue_limit(self):

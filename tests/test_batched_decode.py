@@ -6,7 +6,9 @@ Three parity layers, strictest first:
   loop over ``bsf_filter_fast_heads`` (and the reference backend's
   ``filter_heads_batch``) bit for bit on every ``BSFResult`` field,
   across ragged sequence lengths, ``allowed``/``protect`` masks, and
-  finite/infinite guards — property-tested via hypothesis;
+  finite/infinite guards — property-tested via hypothesis, plus fixed
+  cases at serving width (16 requests, S up to 1280, bits=8) and on both
+  sides of the float32 product's exactness bound;
 * **engine** — ``decode_step_batch`` must match interleaved
   ``decode_step`` calls exactly (outputs, retained sets, shared filter
   counters), and fall back to the loop when the attention policy does
@@ -140,6 +142,105 @@ def test_kernel_batch_validates_ragged_inputs():
     q_bad, planes_bad, guards_bad, _, _ = _random_request(rng, 3, 1, 8, 8, False, "finite")
     with pytest.raises(ValueError):  # heterogeneous head counts
         bsf_filter_fast_batch([q, q_bad], [planes, planes_bad], [guards, guards_bad])
+
+
+def _assert_batch_parity(qs, planes, guards, alloweds=None, protects=None):
+    """Fused kernel == per-request heads loop == reference batch; returns
+    the fused results."""
+    n = len(qs)
+    alloweds = alloweds or [None] * n
+    protects = protects or [None] * n
+    fused = bsf_filter_fast_batch(qs, planes, guards, alloweds=alloweds, protects=protects)
+    ref = get_backend("reference").filter_heads_batch(
+        qs, planes, guards, alloweds=alloweds, protects=protects
+    )
+    for i in range(n):
+        loop = bsf_filter_fast_heads(
+            qs[i], planes[i], guards[i], allowed=alloweds[i], protect=protects[i]
+        )
+        _assert_results_identical(fused[i], loop, f"request {i} vs fast heads loop")
+        _assert_results_identical(fused[i], ref[i], f"request {i} vs reference batch")
+    return fused
+
+
+def _serving_width_request(rng, num_rows, seq_len, masks, guard_kind):
+    """An 8-bit, 2-head, head-dim-48 request at serving context length.
+    Guards are drawn on the scale of int8·int8 scores at D=48, so keys
+    die in every round rather than all at the sign plane."""
+    num_heads = 2
+    q = rng.integers(-128, 128, size=(num_heads, num_rows, 48))
+    k = rng.integers(-128, 128, size=(num_heads, seq_len, 48))
+    guards = rng.uniform(0.0, 1e5, size=num_heads)
+    if guard_kind == "inf":
+        guards[:] = np.inf
+    elif guard_kind == "mixed":
+        guards[0] = np.inf
+    allowed = protect = None
+    if masks:
+        allowed = rng.random((num_heads, num_rows, seq_len)) < 0.8
+        protect = rng.random((num_heads, num_rows, seq_len)) < 0.1
+    return q, decompose_bitplanes(k, bits=8), guards, allowed, protect
+
+
+@pytest.mark.parametrize("num_rows", [1, 5])
+@pytest.mark.parametrize("masks", [False, True])
+@pytest.mark.parametrize("guard_kind", ["finite", "inf", "mixed"])
+def test_kernel_parity_serving_width(num_rows, masks, guard_kind):
+    """16 ragged requests at S≈768-1280, bits=8, Hh=2, D=48: the decode
+    shape of a busy serving round, far past the hypothesis sweep."""
+    rng = np.random.default_rng([num_rows, int(masks), len(guard_kind)])
+    seq_lens = rng.integers(768, 1281, size=16)
+    reqs = [
+        _serving_width_request(rng, num_rows, int(s), masks, guard_kind) for s in seq_lens
+    ]
+    fused = _assert_batch_parity(*map(list, zip(*reqs)))
+    if guard_kind == "finite":
+        processed = np.concatenate([r.planes_processed.ravel() for r in fused])
+        assert len(np.unique(processed[processed > 0])) >= 4, "pruning stopped too early"
+
+
+def test_kernel_parity_plane_per_round_product():
+    """Enough query rows that (P + 1) product columns outweigh D plane
+    bytes per key: the product is taken one plane per round."""
+    rng = np.random.default_rng(5)
+    reqs = [_serving_width_request(rng, 16, s, True, "finite") for s in (96, 250, 31, 180)]
+    _assert_batch_parity(*map(list, zip(*reqs)))
+
+
+@pytest.mark.parametrize("head_dim", [48, (1 << 17) - 1])
+def test_kernel_parity_worst_magnitude(head_dim):
+    """q all -128 and every plane bit set: |q·b| = 128·D on every plane.
+    D = 2^17 - 1 is the widest head an 8-bit query keeps below 2^24."""
+    num_heads, num_rows = 1, 2
+    q = np.full((num_heads, num_rows, head_dim), -128)
+    reqs = []
+    for seq_len in (3, 1, 2):
+        planes = decompose_bitplanes(np.full((num_heads, seq_len, head_dim), -1), bits=8)
+        assert planes.planes.all()
+        reqs.append((q, planes, np.array([1e3])))
+    fused = _assert_batch_parity(*map(list, zip(*reqs)))
+    # Every key is the same, so all survive with the exact full score.
+    want = 128 * head_dim
+    assert all(np.array_equal(r.scores, np.full(r.scores.shape, want)) for r in fused)
+
+
+def test_kernel_parity_past_float32_exact_range():
+    """20-bit queries at D=48 push plane dot products past 2^24, where a
+    float32 product would round odd sums; the kernel must go float64."""
+    bits, head_dim = 20, 48
+    rng = np.random.default_rng(13)
+    reqs = []
+    for seq_len in (9, 4, 7):
+        q = rng.integers(3 << 17, 1 << 19, size=(2, 1, head_dim))
+        k = np.where(rng.random((2, seq_len, head_dim)) < 0.9, -1,
+                     rng.integers(-(1 << 19), 1 << 19, size=(2, seq_len, head_dim)))
+        planes = decompose_bitplanes(k, bits=bits)
+        exact = np.einsum("hpd,bhsd->bhps", q, planes.planes.astype(np.int64))
+        f32 = np.einsum("hpd,bhsd->bhps", q.astype(np.float32),
+                        planes.planes.astype(np.float32))
+        assert exact.max() >= 1 << 24 and not np.array_equal(f32, exact)
+        reqs.append((q, planes, rng.uniform(0.0, 1e12, size=2)))
+    _assert_batch_parity(*map(list, zip(*reqs)))
 
 
 # ----------------------------------------------------------------------

@@ -32,6 +32,15 @@ class TestAlignment:
         aligned = align_query(np.zeros(8))
         assert aligned.exponent == 0 and aligned.truncation_error == 0.0
 
+    def test_subnormal_row(self):
+        """Rows whose max |q| / qmax is subnormal or underflows to zero."""
+        tiny = 2.0**-1074
+        for q in (np.full(4, tiny), np.array([3000 * tiny, -tiny, 0.0, 7 * tiny])):
+            aligned = align_query(q, mantissa_bits=12)
+            assert np.abs(aligned.mantissa).max() <= 2**11
+            assert np.abs(q - aligned.reconstruct()).max() <= aligned.truncation_error
+            assert aligned.truncation_error <= 2.0**aligned.exponent * 0.5
+
     def test_wider_mantissa_less_truncation(self, rng):
         q = rng.normal(size=64) * 10
         narrow = align_query(q, mantissa_bits=8)
