@@ -17,11 +17,13 @@ Two storage strategies share one interface
   footprints across concurrent requests.
 * :class:`PagedBitPlaneKVCache` — rows live in fixed-size token blocks
   allocated from a shared :class:`PlaneBlockPool` under a global token
-  budget (the PagedAttention/vLLM memory shape).  Views are gathered
-  through the cache's block table, so consumers — ``PadeEngine.attend``
-  and both kernel backends — are untouched; allocation failure raises
-  :class:`PoolExhausted`, the signal the continuous scheduler turns into
-  preemption.
+  budget (the PagedAttention/vLLM memory shape).  The hot ``planes`` /
+  ``values`` views are slices of a private contiguous mirror of the
+  sequence's rows that each decode append extends in place, so
+  consumers — ``PadeEngine.attend`` and both kernel backends — are
+  untouched and a decode round copies one new row, not the whole
+  context; allocation failure raises :class:`PoolExhausted`, the signal
+  the continuous scheduler turns into preemption.
 
 Two sharing mechanisms ride on the paged pool (both off by default):
 
@@ -132,6 +134,14 @@ def chain_block_keys(
         parent = h.digest()
         keys.append(parent)
     return keys
+
+
+def _narrowest_int(bits: int) -> np.dtype:
+    """Narrowest signed integer dtype that holds ``bits``-bit operands."""
+    for dtype in (np.int8, np.int16, np.int32):
+        if bits <= np.iinfo(dtype).bits:
+            return np.dtype(dtype)
+    return np.dtype(np.int64)
 
 
 def quantize_heads(
@@ -396,10 +406,12 @@ class PoolExhausted(RuntimeError):
 class PlaneBlockPool:
     """Fixed-size token blocks of plane/k_int/value rows under one budget.
 
-    The pool owns three backing stores shaped for ``num_blocks × block_size``
+    The pool owns four backing stores shaped for ``num_blocks × block_size``
     token rows (planes ``(bits, H, rows, D)`` uint8, integer keys
-    ``(H, rows, D)`` int64, values ``(H, rows, Dv)`` float64) and hands out
-    block indices.  Block ``b`` owns physical rows
+    ``(H, rows, D)`` in the narrowest signed dtype that holds ``bits``
+    — int8 at 8 bits; only the cold ``k_int`` view reads it, widened to
+    int64 —, raw keys ``(H, rows, D)`` and values ``(H, rows, Dv)``
+    float64) and hands out block indices.  Block ``b`` owns physical rows
     ``[b * block_size, (b + 1) * block_size)``; a
     :class:`PagedBitPlaneKVCache` maps its logical token positions onto
     those rows through its block table.
@@ -443,9 +455,13 @@ class PlaneBlockPool:
         self.num_blocks = token_budget // block_size
         rows = self.num_blocks * block_size
         self._planes = np.zeros((bits, num_heads, rows, head_dim), dtype=np.uint8)
-        self._k_int = np.zeros((num_heads, rows, head_dim), dtype=np.int64)
+        self._k_int = np.zeros((num_heads, rows, head_dim), dtype=_narrowest_int(bits))
         self._k = np.zeros((num_heads, rows, head_dim), dtype=np.float64)
         self._values = np.zeros((num_heads, rows, v_dim), dtype=np.float64)
+        # Bumped by every spill/restore — the only in-place changes to
+        # plane bytes of a live block — so cache mirrors can tell when
+        # their copy went stale (PagedBitPlaneKVCache.planes).
+        self.plane_epoch = 0
         # LIFO free list seeded so the first allocations come out 0, 1, 2...
         self._free: List[int] = list(range(self.num_blocks - 1, -1, -1))
         self._allocated: set = set()
@@ -525,7 +541,7 @@ class PlaneBlockPool:
     def bytes_per_block(self) -> int:
         """Backing-store bytes one block occupies (planes + k_int + k + values)."""
         h, d, dv = self.num_heads, self.head_dim, self.v_dim
-        per_row = self.bits * h * d + h * d * 8 + h * d * 8 + h * dv * 8
+        per_row = self.bits * h * d + h * d * self._k_int.itemsize + h * d * 8 + h * dv * 8
         return self.block_size * per_row
 
     # ------------------------------------------------------------------
@@ -802,6 +818,7 @@ class PlaneBlockPool:
             chunk if store is None else np.concatenate([chunk, store], axis=0)
         )
         self._planes[target_planes:current, :, rows, :] = 0
+        self.plane_epoch += 1
         self._resident[block] = target_planes
         moved = current - target_planes
         self._plane_units_used -= moved
@@ -831,6 +848,7 @@ class PlaneBlockPool:
         start = block * self.block_size
         rows = slice(start, start + self.block_size)
         self._planes[current:target, :, rows, :] = store[:moved]
+        self.plane_epoch += 1
         if moved == store.shape[0]:
             del self._spill_store[block]
         else:
@@ -894,11 +912,22 @@ class PagedBitPlaneKVCache:
     Presents exactly the :class:`BitPlaneKVCache` interface —
     ``planes/values/k_int/scales/length/prefill/append`` plus the
     ``rows_decomposed``/``appends`` counters — so ``PadeEngine.attend`` and
-    both kernel backends consume it unchanged.  The views are *gathers*
-    through the block table rather than slices of a private buffer, which
-    is the price of sharing: any number of sequences interleave allocation
-    from one pool, and :meth:`release` returns a sequence's blocks for
-    immediate reuse (completion or preemption).
+    both kernel backends consume it unchanged.  Any number of sequences
+    interleave allocation from one pool, and :meth:`release` returns a
+    sequence's blocks for immediate reuse (completion or preemption).
+
+    The hot views, ``planes`` and ``values``, are slices of a private
+    contiguous *mirror* of this sequence's rows, as in the dense cache:
+    one gather through the block table builds it on the first read after
+    a prefill, and each :meth:`append` then writes the new row into it in
+    place, so a decode round copies one row instead of re-gathering the
+    whole context.  The mirror is either absent or byte-identical to the
+    pool rows of tokens ``0 .. length-1``: prefill writes, :meth:`release`
+    and any spill/restore in the pool (``PlaneBlockPool.plane_epoch``)
+    drop it, a :meth:`fork` clone starts without one, and growth
+    reallocates instead of writing below ``length`` — so a view handed
+    out earlier stays a valid snapshot.  The cold views ``k_int`` and
+    ``k_float`` are still gathers.
 
     Raises :class:`PoolExhausted` from ``prefill``/``append`` *before*
     mutating any state, so a failed allocation is always safe to retry
@@ -936,6 +965,13 @@ class PagedBitPlaneKVCache:
         self._pending_k_int: Optional[np.ndarray] = None  # (H, S, D) during prefill
         self._pending_k: Optional[np.ndarray] = None  # (H, S, D) raw, during prefill
         self._pending_v: Optional[np.ndarray] = None  # (H, S, Dv) during prefill
+        # Contiguous mirror of this sequence's pool rows, keyed by pool
+        # store ("_planes" / "_values"), each built on its first read;
+        # current while _mirror_len == length and _mirror_epoch matches
+        # the pool's plane_epoch.
+        self._mirror: Dict[str, np.ndarray] = {}
+        self._mirror_len = 0
+        self._mirror_epoch = 0
         self.policy_state = None  # per-request AttentionPolicy state
 
     # ------------------------------------------------------------------
@@ -984,27 +1020,51 @@ class PagedBitPlaneKVCache:
         table = np.asarray(self._blocks, dtype=np.int64)
         return table[pos // bs] * bs + pos % bs
 
-    @property
-    def planes(self) -> BitPlanes:
-        """Gathered planes of this sequence, value shape ``(H, length, D)``."""
+    def _mirrored(self, store: str) -> np.ndarray:
+        """Rows ``0 .. length-1`` of pool ``store`` as a mirror slice.
+
+        Rebuilds the mirror with one gather when it is stale or was
+        never built; the row axis is second to last in every store.
+        """
         if self._scales is None:
             raise RuntimeError("cache is empty; call prefill() first")
-        gathered = self.pool._planes[:, :, self._row_index(), :]
-        return BitPlanes(planes=gathered, bits=self.bits)
+        n = self._length
+        if self._mirror_len != n or self._mirror_epoch != self.pool.plane_epoch:
+            self._mirror = {}
+            self._mirror_len, self._mirror_epoch = n, self.pool.plane_epoch
+        buf = self._mirror.get(store)
+        if buf is None:
+            src = getattr(self.pool, store)
+            buf = np.empty(src.shape[:-2] + (self._mirror_capacity(n), src.shape[-1]), src.dtype)
+            buf[..., :n, :] = src[..., self._row_index(), :]
+            self._mirror[store] = buf
+        return buf[..., :n, :]
+
+    def _mirror_capacity(self, n: int) -> int:
+        """Mirror rows reserved for ``n`` tokens (modest growth slack)."""
+        return n + n // 8 + self.pool.block_size
+
+    @property
+    def planes(self) -> BitPlanes:
+        """Planes of this sequence, value shape ``(H, length, D)``.
+
+        A slice of the cache's mirror (see the class docstring): byte
+        for byte the pool rows behind the block table, but copied only
+        once per prefill plus one row per append.
+        """
+        return BitPlanes(planes=self._mirrored("_planes"), bits=self.bits)
 
     @property
     def values(self) -> np.ndarray:
-        """Gathered V rows, shape ``(H, length, Dv)``."""
-        if self._scales is None:
-            raise RuntimeError("cache is empty; call prefill() first")
-        return self.pool._values[:, self._row_index(), :]
+        """V rows, shape ``(H, length, Dv)``; a mirror slice like ``planes``."""
+        return self._mirrored("_values")
 
     @property
     def k_int(self) -> np.ndarray:
-        """Gathered integer keys, shape ``(H, length, D)``."""
+        """Gathered integer keys, int64, shape ``(H, length, D)``."""
         if self._scales is None:
             raise RuntimeError("cache is empty; call prefill() first")
-        return self.pool._k_int[:, self._row_index(), :]
+        return self.pool._k_int[:, self._row_index(), :].astype(np.int64)
 
     @property
     def k_float(self) -> np.ndarray:
@@ -1129,6 +1189,7 @@ class PagedBitPlaneKVCache:
         self.pool._k_int[:, rows, :] = k_int
         self.pool._k[:, rows, :] = self._pending_k[:, start:end, :]
         self.pool._values[:, rows, :] = self._pending_v[:, start:end, :]
+        self._mirror = {}
         self._length = end
         self.rows_decomposed += self.num_heads * take
         if self.prefix_sharing:
@@ -1212,9 +1273,34 @@ class PagedBitPlaneKVCache:
         self.pool._k_int[:, row, :] = k_int
         self.pool._k[:, row, :] = k_step
         self.pool._values[:, row, :] = v_step
+        self._extend_mirror(pos, bp.planes, v_step)
         self._length = pos + 1
         self.rows_decomposed += self.num_heads
         self.appends += 1
+
+    def _extend_mirror(self, pos: int, plane_row: np.ndarray, value_row: np.ndarray) -> None:
+        """Write the row just appended at ``pos`` into a current mirror.
+
+        A mirror that is not current (built for another length, or
+        before a spill/restore — including the tail restore this append
+        may just have done) is dropped instead.  Growth copies into a
+        fresh array, so no earlier view is ever written below its end.
+        """
+        if self._mirror_len != pos or self._mirror_epoch != self.pool.plane_epoch:
+            self._mirror = {}
+            return
+        for store, row in (("_planes", plane_row), ("_values", value_row)):
+            buf = self._mirror.get(store)
+            if buf is None:
+                continue
+            if buf.shape[-2] == pos:
+                grown = np.empty(
+                    buf.shape[:-2] + (self._mirror_capacity(pos + 1), buf.shape[-1]), buf.dtype
+                )
+                grown[..., :pos, :] = buf[..., :pos, :]
+                self._mirror[store] = buf = grown
+            buf[..., pos, :] = row
+        self._mirror_len = pos + 1
 
     def fork(self) -> "PagedBitPlaneKVCache":
         """Clone this cache onto the same ref-counted blocks (zero copy).
@@ -1247,6 +1333,7 @@ class PagedBitPlaneKVCache:
         """
         self.pool.release(self._blocks)
         self._blocks = []
+        self._mirror = {}
         self._length = 0
         self._scales = None
         self._prefill_target = 0

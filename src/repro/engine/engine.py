@@ -223,8 +223,9 @@ class PadeEngine:
 
         The engine's single attend path.  Per request the quantization,
         guards and causal/protection masks are prepared and the bit planes
-        are gathered from the cache (paged caches gather via their block
-        tables here).  The kernel is then chosen by request count: one
+        are read from the cache (a paged cache hands out a slice of its
+        per-request mirror, rebuilt by a block-table gather only when
+        stale).  The kernel is then chosen by request count: one
         request calls ``KernelBackend.filter_heads``, the head kernel,
         which beats the fused lattice at a batch of one; two or more call
         ``filter_heads_batch`` once over the whole ragged set and count

@@ -796,6 +796,13 @@ class ContinuousScheduler:
         # ``_streamed`` keep them from being streamed twice.
         self.token_sink = None
         self._streamed: Dict[str, int] = {}
+        # Completion hook: called as ``done_sink(request_id)`` each time a
+        # result is recorded (finished or aborted), so the front-end
+        # dispatches done messages without rescanning every result.
+        self.done_sink = None
+        # (heads, head_dim, v_dim) of the first submitted request, the
+        # shape validate() holds later submissions to before a pool exists.
+        self._kv_shape: Optional[Tuple[int, int, int]] = None
 
     @property
     def _budgeted(self) -> bool:
@@ -803,35 +810,104 @@ class ContinuousScheduler:
         return self.round_token_budget > 0
 
     # ------------------------------------------------------------------
-    def submit(self, request: EngineRequest) -> None:
-        in_flight = [r.request_id for _, r in self.pending]
-        in_flight += [s.request.request_id for s in self.active]
-        if request.request_id in in_flight:
-            raise ValueError(f"request id {request.request_id!r} already queued")
+    @property
+    def kv_shape(self) -> Optional[Tuple[int, int, int]]:
+        """``(heads, head_dim, v_dim)`` every request must match.
+
+        The pool's, or before a pool exists the first submitted
+        request's; ``None`` until a request has been submitted.
+        """
+        pool = self.pool
+        if pool is not None:
+            return (pool.num_heads, pool.head_dim, pool.v_dim)
+        return self._kv_shape
+
+    def validate(
+        self, request: EngineRequest, kv_shape: Optional[Tuple[int, int, int]] = None
+    ) -> Tuple[int, int, int]:
+        """Raise ``ValueError`` naming ``request`` unless it can be served.
+
+        Every tensor must be real and finite, the tensors' shapes must
+        agree with each other, speculative and parallel-sampling
+        requests need the PADE policy, and ``(heads, head_dim, v_dim)``
+        must match ``kv_shape`` (default :attr:`kv_shape`; a front-end that
+        queues accepted requests before submitting them passes the first
+        queued request's).  Returns the request's ``(heads, head_dim,
+        v_dim)``.  :meth:`submit` runs it before queuing, so a bad
+        request is refused alone instead of failing a round mid-run.
+        """
+        rid = request.request_id
+        attn_name = getattr(getattr(self.engine, "policy", None), "name", None)
         if request.speculative:
             # The verifier is the engine's own policy: accept/reject is
             # only meaningful when it is the plane-consuming PADE filter
             # (the draft is a *different*, cheaper selection over the
             # same pool; a baseline verifying a baseline proves nothing).
-            attn_name = getattr(getattr(self.engine, "policy", None), "name", None)
             if attn_name != "pade":
                 raise ValueError(
-                    f"speculative decoding requires the 'pade' verifier policy "
-                    f"(engine serves {attn_name!r})"
+                    f"request {rid!r}: speculative decoding requires the 'pade' "
+                    f"verifier policy (engine serves {attn_name!r})"
                 )
             self._resolve_draft()
-        if request.n_samples > 1:
+        if request.n_samples > 1 and attn_name != "pade":
             # Lineage caches are COW forks, and a fork carries blocks
             # only — not the donor's policy_state.  Stateless PADE
             # decodes each lineage correctly; a stateful baseline (H2O
             # accumulators) would silently restart its statistics per
             # fork, so parallel sampling is PADE-only.
-            attn_name = getattr(getattr(self.engine, "policy", None), "name", None)
-            if attn_name != "pade":
-                raise ValueError(
-                    f"parallel sampling requires the 'pade' attention policy "
-                    f"(engine serves {attn_name!r})"
-                )
+            raise ValueError(
+                f"request {rid!r}: parallel sampling requires the 'pade' "
+                f"attention policy (engine serves {attn_name!r})"
+            )
+        k, v = np.asarray(request.k), np.asarray(request.v)
+        if k.ndim != 3 or v.ndim != 3 or v.shape[:2] != k.shape[:2]:
+            raise ValueError(
+                f"request {rid!r}: expected k (H, S, D) and v (H, S, Dv), "
+                f"got {k.shape} and {v.shape}"
+            )
+        heads, _, head_dim = k.shape
+        v_dim = v.shape[2]
+        steps = request.decode_steps
+        lineages = request.n_samples - 1
+        expected = {
+            "k": k.shape,
+            "v": v.shape,
+            "q_prompt": (heads, None, head_dim),
+            "decode_q": (heads, steps, head_dim),
+            "decode_k": (heads, steps, head_dim),
+            "decode_v": (heads, steps, v_dim),
+            "sample_decode_q": (lineages, heads, steps, head_dim),
+            "sample_decode_k": (lineages, heads, steps, head_dim),
+            "sample_decode_v": (lineages, heads, steps, v_dim),
+        }
+        for name, shape in expected.items():
+            value = getattr(request, name)
+            if value is None:
+                continue
+            arr = np.asarray(value)
+            if len(arr.shape) != len(shape) or any(
+                want is not None and got != want for got, want in zip(arr.shape, shape)
+            ):
+                raise ValueError(f"request {rid!r}: {name} has shape {arr.shape}, expected {shape}")
+            if arr.dtype.kind not in "biuf" or not np.isfinite(arr).all():
+                raise ValueError(f"request {rid!r}: {name} must be real and finite")
+        shape = (heads, head_dim, v_dim)
+        reference = self.kv_shape if kv_shape is None else kv_shape
+        if reference is not None and shape != reference:
+            raise ValueError(
+                f"request {rid!r} shape (heads, head_dim, v_dim) = {shape} does not "
+                f"match the pool's {reference}"
+            )
+        return shape
+
+    def submit(self, request: EngineRequest) -> None:
+        in_flight = [r.request_id for _, r in self.pending]
+        in_flight += [s.request.request_id for s in self.active]
+        if request.request_id in in_flight:
+            raise ValueError(f"request id {request.request_id!r} already queued")
+        shape = self.validate(request)
+        if self._kv_shape is None:
+            self._kv_shape = shape
         self.pending.append((self._submit_seq, request))
         self._submit_seq += 1
         if self._charged or self.tiering is not None:
@@ -926,14 +1002,16 @@ class ContinuousScheduler:
         self.events.append((self.time, event, ids))
 
     def _ensure_pool(self, request: EngineRequest) -> PlaneBlockPool:
-        num_heads, _, head_dim = np.asarray(request.k).shape
-        v_dim = np.asarray(request.v).shape[2]
+        """The shared pool, built on first use at ``request``'s shape
+        (:meth:`submit` already refused every request not matching the
+        first one's)."""
         if self.pool is None:
+            num_heads, _, head_dim = np.asarray(request.k).shape
             oversized = self._charged or self.tiering is not None
             self.pool = PlaneBlockPool(
                 num_heads,
                 head_dim,
-                v_dim,
+                np.asarray(request.v).shape[2],
                 bits=self.engine.config.bits,
                 block_size=self.block_size,
                 token_budget=(
@@ -943,16 +1021,6 @@ class ContinuousScheduler:
                 ),
                 tiering=self.tiering,
                 plane_budget_blocks=self.token_budget // self.block_size,
-            )
-        elif (self.pool.num_heads, self.pool.head_dim, self.pool.v_dim) != (
-            num_heads,
-            head_dim,
-            v_dim,
-        ):
-            raise ValueError(
-                f"request {request.request_id!r} shape ({num_heads}, {head_dim}, {v_dim}) "
-                f"does not match the pool's ({self.pool.num_heads}, "
-                f"{self.pool.head_dim}, {self.pool.v_dim})"
             )
         return self.pool
 
@@ -1731,6 +1799,12 @@ class ContinuousScheduler:
             abort_reason=abort_reason,
         )
 
+    def _store_result(self, results: Dict[str, RequestResult], result: RequestResult) -> None:
+        """Record a finished or aborted request and notify ``done_sink``."""
+        results[result.request_id] = result
+        if self.done_sink is not None:
+            self.done_sink(result.request_id)
+
     def _abort_reason(self, req: EngineRequest, queued: bool) -> Optional[str]:
         """Why ``req`` must be aborted right now (None = keep serving).
 
@@ -1771,8 +1845,8 @@ class ContinuousScheduler:
             if reason is None:
                 kept_pending.append(entry)
                 continue
-            results[req.request_id] = self._build_result(
-                req, None, status="aborted", abort_reason=reason
+            self._store_result(
+                results, self._build_result(req, None, status="aborted", abort_reason=reason)
             )
             self._cancelled.discard(req.request_id)
             self._record("abort", (req.request_id,))
@@ -1784,8 +1858,8 @@ class ContinuousScheduler:
                 still_active.append(state)
                 continue
             req = state.request
-            results[req.request_id] = self._build_result(
-                req, state, status="aborted", abort_reason=reason
+            self._store_result(
+                results, self._build_result(req, state, status="aborted", abort_reason=reason)
             )
             self._release_request(state)
             self._cancelled.discard(req.request_id)
@@ -1812,7 +1886,7 @@ class ContinuousScheduler:
                 self.parallel_replicated_blocks += (
                     len(state.cache.block_table) * req.n_samples
                 )
-            results[req.request_id] = self._build_result(req, state)
+            self._store_result(results, self._build_result(req, state))
             self._release_request(state)
             self._cancelled.discard(req.request_id)  # finished first: too late
             self._record("finish", (req.request_id,))

@@ -16,7 +16,10 @@ Flow control, cancellation, shutdown:
   loop drains at round boundaries; a submit past ``queue_limit`` is
   rejected with ``overloaded`` instead of buffering without bound.
   Requests that could never fit the token budget are rejected up front
-  (``too-large``) via :meth:`ContinuousScheduler.fits_budget`.
+  (``too-large``) via :meth:`ContinuousScheduler.fits_budget`, and
+  requests with non-finite tensors or shapes that do not match the pool
+  (``invalid``) via :meth:`ContinuousScheduler.validate` — one bad
+  request never reaches a round, so it cannot fail anyone else's.
 * **Cancellation** — a ``cancel`` message or a client disconnect marks
   the request via :meth:`ContinuousScheduler.cancel`; the next round
   boundary aborts it (blocks, staging and prefix refs freed) and the
@@ -87,6 +90,14 @@ class AsyncPadeServer:
         self.start_barrier = int(start_barrier)
         self.scheduler = ContinuousScheduler(engine, **scheduler_kwargs)
         self.scheduler.token_sink = self._on_token
+        # Ids whose results the scheduler recorded since the last round's
+        # dispatch: done messages cost O(newly finished), not O(served).
+        self._finished: Deque[str] = deque()
+        self.scheduler.done_sink = self._finished.append
+        # Shape of the first accepted request: accepted submits wait in
+        # the accept queue before the scheduler sees them, so later ones
+        # are validated against it, not only against the scheduler's.
+        self._kv_shape: Optional[Tuple[int, int, int]] = None
         self.results: Dict[str, object] = {}
         self.epoch = time.perf_counter()
         self._accept_queue: Deque[Tuple[dict, _Connection]] = deque()
@@ -195,9 +206,9 @@ class AsyncPadeServer:
                     self._wall.setdefault(rid, {}).setdefault("admit", self._now_ms())
 
     def _dispatch_done(self) -> None:
-        for rid, res in self.results.items():
-            if rid in self._done_sent:
-                continue
+        while self._finished:
+            rid = self._finished.popleft()
+            res = self.results[rid]
             self._done_sent.add(rid)
             self._wall.setdefault(rid, {})["finish"] = self._now_ms()
             conn = self._owners.get(rid)
@@ -281,9 +292,16 @@ class AsyncPadeServer:
             self._send(conn, {"type": "rejected", "request_id": rid, "error": "overloaded"})
             return
         probe = decode_request(msg["request"])
+        try:
+            shape = self.scheduler.validate(probe, self._kv_shape)
+        except ValueError:
+            self._send(conn, {"type": "rejected", "request_id": rid, "error": "invalid"})
+            return
         if not self.scheduler.fits_budget(probe):
             self._send(conn, {"type": "rejected", "request_id": rid, "error": "too-large"})
             return
+        if self._kv_shape is None:
+            self._kv_shape = shape
         self._owners[rid] = conn
         conn.owned.add(rid)
         self._wall.setdefault(rid, {})["arrival"] = self._now_ms()

@@ -26,6 +26,7 @@ yields at every round boundary).
 from __future__ import annotations
 
 import asyncio
+import dataclasses
 import time
 
 import numpy as np
@@ -415,3 +416,80 @@ class TestGracefulShutdown:
     def test_queue_limit_validation(self):
         with pytest.raises(ValueError, match="queue_limit"):
             AsyncPadeServer(PadeEngine(), queue_limit=0)
+
+
+class TestInvalidRequests:
+    def test_invalid_request_rejected_and_good_one_still_served(self):
+        async def run():
+            server = await _start()
+            conn = await ServeConnection.open(server.host, server.port)
+            try:
+                good = _req("good", seed=1)
+                poisoned = _req("nan", seed=2)
+                k = poisoned.k.copy()
+                k[0, 0, 0] = np.nan
+                reply = await conn.submit(dataclasses.replace(poisoned, k=k))
+                assert reply == {"type": "rejected", "request_id": "nan", "error": "invalid"}
+                assert (await conn.submit(good))["type"] == "accepted"
+                # A head count that differs from the first accepted request.
+                wide = build_engine_request("wide", 3, 16, 4, head_dim=8, seed=3)
+                assert (await conn.submit(wide))["error"] == "invalid"
+                done = await conn.result("good")
+                assert done["status"] == "ok"
+            finally:
+                await conn.close()
+            ack = await _graceful_stop(server)
+            assert ack["served"] == 1
+            assert ack["leaked_blocks"] == 0
+
+        asyncio.run(run())
+
+
+class TestDoneDispatch:
+    def test_round_touches_only_its_finished_ids(self):
+        """Done dispatch reads the results of the requests that finished
+        this round and nothing else — its cost does not grow with the
+        number of requests served."""
+
+        class _SpyResults(dict):
+            def __init__(self):
+                super().__init__()
+                self.reads, self.scans = [], 0
+
+            def __getitem__(self, key):
+                self.reads.append(key)
+                return super().__getitem__(key)
+
+            def __iter__(self):
+                self.scans += 1
+                return super().__iter__()
+
+            def items(self):
+                self.scans += 1
+                return super().items()
+
+            def values(self):
+                self.scans += 1
+                return super().values()
+
+        server = AsyncPadeServer(PadeEngine(), max_active=2, token_budget=512, block_size=8)
+        scheduler = server.scheduler
+        scheduler.start()
+        spy = _SpyResults()
+        scheduler._results = server.results = spy
+        for i in range(6):
+            scheduler.submit(_req(f"r{i}", steps=2 + i % 3, seed=i))
+        finished_rounds = 0
+        while True:
+            before = set(spy)
+            if not scheduler.step():
+                break
+            spy.reads.clear()
+            spy.scans = 0
+            server._dispatch_done()
+            assert spy.scans == 0
+            new = set(spy) - before
+            assert sorted(spy.reads) == sorted(new)
+            finished_rounds += bool(new)
+        assert server._done_sent == {f"r{i}" for i in range(6)}
+        assert finished_rounds >= 2

@@ -217,9 +217,8 @@ class TestPolicies:
     def test_mixed_shapes_rejected(self):
         sched = ContinuousScheduler(PadeEngine(), token_budget=1024, block_size=8)
         sched.submit(_timed_request(0, arrival=0.0, num_heads=2))
-        sched.submit(_timed_request(1, arrival=0.0, num_heads=3))
         with pytest.raises(ValueError, match="shape"):
-            sched.run()
+            sched.submit(_timed_request(1, arrival=0.0, num_heads=3))
 
 
 class TestAttentionPolicyInteractions:
@@ -381,3 +380,47 @@ class TestIdleGapOccupancy:
         assert report["mean_active_requests"] < 0.25
         assert report["peak_active_requests"] == 1.0
         assert report["mean_pool_occupancy"] < 0.25 * report["peak_pool_occupancy"]
+
+
+class TestSubmitValidation:
+    """A bad request is refused at submit, alone, before any round runs."""
+
+    def _poisoned(self, i, field):
+        req = _timed_request(i, arrival=0.0)
+        bad = np.array(getattr(req, field), dtype=np.float64)
+        bad.flat[3] = np.nan
+        return dataclasses.replace(req, **{field: bad})
+
+    @pytest.mark.parametrize("field", ["k", "v", "q_prompt", "decode_q", "decode_k", "decode_v"])
+    def test_non_finite_tensor_rejected_and_queue_unchanged(self, field):
+        sched = ContinuousScheduler(PadeEngine(), token_budget=1024, block_size=8)
+        sched.submit(_timed_request(0, arrival=0.0))
+        before = list(sched.pending)
+        with pytest.raises(ValueError, match=r"'q1'.*finite"):
+            sched.submit(self._poisoned(1, field))
+        assert sched.pending == before
+        sched.submit(_timed_request(2, arrival=0.0))  # the queue keeps working
+        results = sched.run()
+        assert sorted(results) == ["q0", "q2"]
+        assert all(r.status == "ok" for r in results.values())
+        assert sched.pool.used_block_count == 0
+
+    def test_wrong_head_count_rejected_before_a_pool_exists(self):
+        sched = ContinuousScheduler(PadeEngine(), token_budget=1024, block_size=8)
+        sched.submit(_timed_request(0, arrival=0.0, num_heads=2))
+        assert sched.pool is None
+        with pytest.raises(ValueError, match=r"'q1'.*does not match"):
+            sched.submit(_timed_request(1, arrival=0.0, num_heads=3))
+        assert [r.request_id for _, r in sched.pending] == ["q0"]
+        assert sched.run()["q0"].status == "ok"
+        # With a pool built, its shape is the reference.
+        with pytest.raises(ValueError, match="does not match"):
+            sched.submit(_timed_request(2, arrival=0.0, head_dim=4))
+
+    def test_inconsistent_stream_shapes_rejected(self):
+        sched = ContinuousScheduler(PadeEngine(), token_budget=1024, block_size=8)
+        req = _timed_request(0, arrival=0.0)
+        bad = dataclasses.replace(req, decode_v=req.decode_v[:, :, :3])
+        with pytest.raises(ValueError, match="decode_v has shape"):
+            sched.submit(bad)
+        assert not sched.pending

@@ -22,7 +22,7 @@ from repro.engine import (
     PlaneBlockPool,
     PoolExhausted,
 )
-from repro.engine.cache import quantize_heads
+from repro.engine.cache import TierConfig, quantize_heads
 from repro.quant.integer import quantize_symmetric
 
 
@@ -365,3 +365,131 @@ class TestPoolLifecycleEdges:
         fresh = PagedBitPlaneKVCache(pool, prefix_sharing=True)
         fresh.prefill(k2, v2)
         assert fresh.prefix_hit_blocks == 2
+
+
+def _assert_mirror_matches_pool(cache):
+    """The mirrored views equal a fresh gather through the block table."""
+    pool, rows = cache.pool, cache._row_index()
+    assert cache.planes.planes.tobytes() == pool._planes[:, :, rows, :].tobytes()
+    assert cache.values.tobytes() == pool._values[:, rows, :].tobytes()
+    assert cache.k_int.dtype == np.int64
+    assert cache.k_int.tobytes() == pool._k_int[:, rows, :].astype(np.int64).tobytes()
+
+
+class TestPersistentMirror:
+    """The paged cache's ``planes``/``values`` are slices of a private
+    mirror extended in place by ``append``.  It must never go stale:
+    prefill writes, release, forks and spills/restores anywhere in the
+    pool all invalidate it, and a view handed out earlier is never
+    written below its end."""
+
+    HEADS, DIM, BLOCK = 2, 4, 4
+
+    def _prompt(self, base, length):
+        return base[0][:, :length], base[1][:, :length]
+
+    @given(
+        ops=st.lists(
+            st.tuples(st.integers(0, 7), st.integers(0, 2**16)), min_size=1, max_size=30
+        ),
+        seed=st.integers(0, 2**16),
+    )
+    def test_lifecycle_views_equal_fresh_gather(self, ops, seed):
+        rng = np.random.default_rng(seed)
+        pool = PlaneBlockPool(
+            self.HEADS, self.DIM, self.DIM, block_size=self.BLOCK, token_budget=24 * self.BLOCK,
+            tiering=TierConfig(min_resident_planes=2), plane_budget_blocks=16,
+        )
+        # One base prompt whose first row holds every head's max |k|, so
+        # all prefixes share frozen scales and hence prefix-sharing keys.
+        k, v = _kv(rng, self.HEADS, 40, self.DIM, self.DIM)
+        k[:, 0, 0] = 10.0
+        base = (k, v)
+        caches = []
+        snapshots = {}  # id(cache) -> (planes view, its bytes at hand-out)
+
+        def prefilled():
+            return [c for c in caches if c._scales is not None and c._pending_k_int is None]
+
+        for op, arg in ops:
+            pick = np.random.default_rng(arg)
+            try:
+                if op == 0 or not caches:  # one-shot prefill (prefix hits likely)
+                    cache = PagedBitPlaneKVCache(pool, prefix_sharing=True)
+                    cache.prefill(*self._prompt(base, int(pick.integers(1, 30))))
+                    caches.append(cache)
+                elif op == 1:  # chunked prefill, views read between chunks
+                    cache = PagedBitPlaneKVCache(pool, prefix_sharing=True)
+                    caches.append(cache)
+                    cache.begin_prefill(*self._prompt(base, int(pick.integers(1, 30))))
+                    while cache.prefill_remaining:
+                        _assert_mirror_matches_pool(cache)
+                        cache.extend_prefill(int(pick.integers(1, 7)))
+                    cache.finish_prefill()
+                elif op in (2, 3) and prefilled():  # decode appends
+                    cache = prefilled()[int(pick.integers(len(prefilled())))]
+                    for _ in range(int(pick.integers(1, 4))):
+                        cache.append(pick.normal(size=(self.HEADS, self.DIM)),
+                                     pick.normal(size=(self.HEADS, self.DIM)))
+                elif op == 4 and prefilled():  # fork + copy-on-write append
+                    donor = prefilled()[int(pick.integers(len(prefilled())))]
+                    clone = donor.fork()
+                    caches.append(clone)
+                    clone.append(pick.normal(size=(self.HEADS, self.DIM)),
+                                 pick.normal(size=(self.HEADS, self.DIM)))
+                elif op == 5:  # spill any live block, whichever cache views it
+                    candidates = pool.spill_candidates()
+                    if candidates:
+                        block = candidates[int(pick.integers(len(candidates)))]
+                        pool.spill_block(block, pool.tiering.min_resident_planes)
+                elif op == 6:  # restore a degraded block
+                    degraded = pool.degraded_blocks()
+                    if degraded:
+                        pool.restore_block(degraded[int(pick.integers(len(degraded)))])
+                elif op == 7 and caches:  # release, then re-prefill the same cache
+                    cache = caches[int(pick.integers(len(caches)))]
+                    cache.release()
+                    cache.prefill(*self._prompt(base, int(pick.integers(1, 30))))
+            except PoolExhausted:
+                pass  # failed writes mutate nothing; the checks below still hold
+            for cache in caches:
+                old = snapshots.get(id(cache))
+                if old is not None:
+                    assert old[0].tobytes() == old[1]  # never written below its end
+                if cache._scales is None:
+                    continue
+                _assert_mirror_matches_pool(cache)
+                view = cache.planes.planes
+                snapshots[id(cache)] = (view, view.tobytes())
+        for cache in caches:
+            cache.release()
+        assert pool.used_block_count == 0
+
+    def test_decode_rounds_share_one_buffer(self, rng):
+        """Two consecutive decode rounds read ``planes``/``values`` from one
+        persistent buffer: the append wrote one row, nothing re-gathered."""
+        pool = PlaneBlockPool(2, 4, 4, block_size=16, token_budget=64)
+        cache = PagedBitPlaneKVCache(pool)
+        k, v = _kv(rng, 2, 20, 4, 4)
+        cache.prefill(k, v)
+        first_planes, first_values = cache.planes.planes, cache.values
+        before = first_planes.tobytes()
+        cache.append(rng.normal(size=(2, 4)), rng.normal(size=(2, 4)))
+        assert len(cache.block_table) == 2  # no block growth this round
+        second_planes, second_values = cache.planes.planes, cache.values
+        assert np.shares_memory(first_planes, second_planes)
+        assert np.shares_memory(first_values, second_values)
+        assert first_planes.tobytes() == before
+        _assert_mirror_matches_pool(cache)
+
+    def test_k_int_store_is_narrow_but_view_is_int64(self, rng):
+        pool = PlaneBlockPool(2, 4, 4, bits=8, block_size=4, token_budget=32)
+        assert pool._k_int.dtype == np.int8
+        assert PlaneBlockPool(2, 4, 4, bits=12, block_size=4, token_budget=32)._k_int.dtype == np.int16
+        assert pool.bytes_per_block == 4 * (8 * 2 * 4 + 2 * 4 * 1 + 2 * 4 * 8 + 2 * 4 * 8)
+        cache = PagedBitPlaneKVCache(pool)
+        k, v = _kv(rng, 2, 6, 4, 4)
+        cache.prefill(k, v)
+        k_int, _ = quantize_heads(k, bits=8)
+        assert cache.k_int.dtype == np.int64
+        assert cache.k_int.tobytes() == k_int.tobytes()
