@@ -12,6 +12,11 @@ requests with ragged context lengths, each advancing one token per round
   the whole ragged active set (padding + validity mask, one dense BLAS
   product per request and head).
 
+On the fast backend both arms run the same kernel — the loop arm's
+``filter_heads`` is a batch of one request — so the fused/loop ratio
+measures dispatch fusion only: one kernel call, one Python round loop
+and one set of engine glue per round instead of one per request.
+
 Time-per-round is measured at active-set sizes 1→32 (best of
 ``REPEATS`` runs per mode, fresh engines each run).  The default
 workload is the regime cross-request fusion exists for — a busy decode

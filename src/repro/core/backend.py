@@ -2,9 +2,9 @@
 
 The repository ships two functionally identical implementations of the
 bit-serial stage-fusion filter: the Python-loop reference
-(:func:`repro.core.bsf.bsf_filter`) and the round-vectorized fast path
-(:func:`repro.core.bsf_fast.bsf_filter_fast`).  Callers used to hand-pick
-one by importing it directly; this module puts both behind a single
+(:func:`repro.core.bsf.bsf_filter`) and the vectorized fast path, one
+fused kernel (:func:`repro.core.bsf_fast_batch.bsf_filter_fast_batch`)
+behind every call shape.  This module puts both behind a single
 :class:`KernelBackend` interface so the choice becomes configuration:
 
 * ``PadeConfig.backend`` — per-config selection, flows through
@@ -23,12 +23,12 @@ selection only affects speed; third-party backends register via
 from __future__ import annotations
 
 import os
+from dataclasses import replace
 from typing import Dict, List, Optional, Protocol, Sequence, Tuple, Union, runtime_checkable
 
 import numpy as np
 
 from repro.core.bsf import BSFResult, BSFRowResult, bsf_filter, bsf_filter_row
-from repro.core.bsf_fast import bsf_filter_fast, bsf_filter_fast_heads
 from repro.core.bsf_fast_batch import bsf_filter_fast_batch
 from repro.core.bui import BUILookupTable
 from repro.core.bui_gf import GuardedFilter
@@ -207,18 +207,17 @@ class ReferenceBackend:
 
 
 class FastBackend(ReferenceBackend):
-    """The round-vectorized kernels.
+    """The vectorized kernel: every call shape runs
+    :func:`~repro.core.bsf_fast_batch.bsf_filter_fast_batch`, one dense
+    BLAS product per (request, head) covering every plane up front, then
+    the threshold recursion masked over the padded lattice.
 
-    ``filter`` and ``filter_heads`` take one matmul/einsum per bit round;
-    ``filter_heads_batch`` takes one dense BLAS product per (request,
-    head) covering every plane up front, then runs the threshold
-    recursion masked over the padded lattice
-    (:mod:`repro.core.bsf_fast_batch`).
-
-    ``filter_row`` is inherited from the reference backend: ISTA's
-    streaming windows carry an externally owned :class:`GuardedFilter`
-    across calls, and the row kernel is already vectorized over keys
-    within each round, so there is no separate fast variant to dispatch.
+    ``filter_heads`` is a batch of one request and ``filter`` a batch of
+    one request with one head.  ``filter_row`` is inherited from the
+    reference backend: ISTA's streaming windows carry an externally owned
+    :class:`GuardedFilter` across calls, and the row kernel is already
+    vectorized over keys within each round, so there is no separate fast
+    variant to dispatch.
     """
 
     name = "fast"
@@ -231,7 +230,17 @@ class FastBackend(ReferenceBackend):
         allowed: Optional[np.ndarray] = None,
         protect: Optional[np.ndarray] = None,
     ) -> BSFResult:
-        return bsf_filter_fast(q_int, key_planes, guard, allowed=allowed, protect=protect)
+        q = np.atleast_2d(q_int)
+        one_head = BitPlanes(planes=key_planes.planes[:, None], bits=key_planes.bits)
+        res = bsf_filter_fast_batch(
+            [q[None]], [one_head], [guard], alloweds=[allowed], protects=[protect]
+        )[0]
+        return replace(
+            res,
+            retained=res.retained[0],
+            planes_processed=res.planes_processed[0],
+            scores=res.scores[0],
+        )
 
     def filter_heads(
         self,
@@ -241,9 +250,9 @@ class FastBackend(ReferenceBackend):
         allowed: Optional[np.ndarray] = None,
         protect: Optional[np.ndarray] = None,
     ) -> BSFResult:
-        return bsf_filter_fast_heads(
-            q_int, key_planes, guards, allowed=allowed, protect=protect
-        )
+        return bsf_filter_fast_batch(
+            [q_int], [key_planes], [guards], alloweds=[allowed], protects=[protect]
+        )[0]
 
     def filter_heads_batch(
         self,

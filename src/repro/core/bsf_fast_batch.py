@@ -1,23 +1,24 @@
-"""Cross-request fused filter round: every active request × head at once.
+"""The fast backend's one BSF kernel: every request × head at once.
 
-:func:`repro.core.bsf_fast.bsf_filter_fast_heads` fuses one request's
-filter round across its heads; a busy continuous-batching round still
-dispatches it once *per request*, so at an active-set size of 16+ the
-engine pays 16 small products (and their Python round loops) where one
-pass would do.  :func:`bsf_filter_fast_batch` closes that gap: the ragged
-per-request key sequences are padded to a shared ``S_max`` with a
-**validity mask** and the per-(request, head, row) threshold recursion
-runs dense over one ``(R, Hh, P, S_max)`` lattice.
+A busy continuous-batching round filters many requests; dispatching a
+kernel once *per request* would pay, at an active-set size of 16+, 16
+small products (and their Python round loops) where one pass would do.
+:func:`bsf_filter_fast_batch` pads the ragged per-request key sequences
+to a shared ``S_max`` with a **validity mask** and runs the
+per-(request, head, row) threshold recursion dense over one
+``(R, Hh, P, S_max)`` lattice.  The same kernel serves every call shape
+of :class:`repro.core.backend.FastBackend`: ``filter_heads`` is a batch
+of one request, ``filter`` a batch of one request with one head.
 
 Equivalence rule (DESIGN.md §13): the threshold recursion is row-private
 — ``max_lb`` folds only over that (request, head, row)'s alive keys — and
 padding columns start dead (``alive = False``) and can never be revived
 (``protect`` is forced ``False`` on padding), so they contribute neither
 bounds nor counters.  Every per-request slice of the fused lattice is
-therefore *bit for bit* the :func:`bsf_filter_fast_heads` result for that
-request alone, including the ``bit_plane_loads`` / ``effective_bit_ops``
-/ ``naive_bit_ops`` counters, which are accumulated with the request axis
-kept separate.
+therefore *bit for bit* the result for that request alone (and the
+reference kernel's, DESIGN.md §5 invariant 7), including the
+``bit_plane_loads`` / ``effective_bit_ops`` / ``naive_bit_ops``
+counters, which are accumulated with the request axis kept separate.
 
 **Dense BLAS product.**  The plane dot products do not depend on which
 keys are still alive, so they are computed up front, not per round: for
@@ -100,11 +101,12 @@ def bsf_filter_fast_batch(
         ``(Hh,)`` — heads quantize independently per request).
     alloweds / protects:
         Optional per-request masks, each ``None`` or broadcastable to
-        ``(Hh, P, S_i)``, exactly as :func:`bsf_filter_fast_heads` takes
+        ``(Hh, P, S_i)``, exactly as ``KernelBackend.filter_heads`` takes
         them.
 
     Returns one :class:`BSFResult` per request, bit for bit equal to
-    calling :func:`bsf_filter_fast_heads` per request.
+    the batch of that request alone and to the reference backend's
+    ``filter_heads`` for it.
     """
     num_requests = len(key_planes)
     if num_requests == 0:

@@ -63,9 +63,7 @@ Two serving-specific choices apply to both:
   what makes incremental decomposition sound — a rescale would invalidate
   every stored plane.
 * **Head-major layout.**  Planes are stored as one ``(bits, H, S, D)``
-  array so the head-batched kernel
-  (:func:`repro.core.bsf_fast.bsf_filter_fast_heads`) can consume a round
-  for all heads with a single einsum, and the cross-request kernel
+  array so the fused kernel
   (:func:`repro.core.bsf_fast_batch.bsf_filter_fast_batch`) can cast one
   head's every plane into its product buffer with one strided copy — no
   per-call stacking.

@@ -14,12 +14,11 @@ rebuilt per call), the engine is the layer a serving stack talks to:
   incrementally each decode step, never rebuilt;
 * **one attend path**: :meth:`PadeEngine.attend_batch` quantizes,
   filters and folds softmax/V for one query block per request; a single
-  request dispatches ``KernelBackend.filter_heads`` (all heads in one
-  einsum per round, :func:`repro.core.bsf_fast.bsf_filter_fast_heads` on
-  the ``"fast"`` backend), two or more dispatch one fused
-  ``filter_heads_batch`` over the ragged set (one dense BLAS product per
-  request and head, then a masked threshold recursion, on ``"fast"``),
-  and :meth:`PadeEngine.attend` is the one-request case;
+  request dispatches ``KernelBackend.filter_heads``, two or more one
+  fused ``filter_heads_batch`` over the ragged set; on the ``"fast"``
+  backend both run :func:`repro.core.bsf_fast_batch.bsf_filter_fast_batch`
+  (one dense BLAS product per request and head, then a masked threshold
+  recursion), and :meth:`PadeEngine.attend` is the one-request case;
 * **request scheduling**: :meth:`PadeEngine.serve` runs the
   continuous-batching path — arrival-aware admission every round over a
   paged block pool with a global token budget and preemption under
@@ -225,14 +224,14 @@ class PadeEngine:
         guards and causal/protection masks are prepared and the bit planes
         are read from the cache (a paged cache hands out a slice of its
         per-request mirror, rebuilt by a block-table gather only when
-        stale).  The kernel is then chosen by request count: one
-        request calls ``KernelBackend.filter_heads``, the head kernel,
-        which beats the fused lattice at a batch of one; two or more call
+        stale).  The kernel entry is then chosen by request count: one
+        request calls ``KernelBackend.filter_heads``; two or more call
         ``filter_heads_batch`` once over the whole ragged set and count
         the fused dispatch in ``batched_rounds`` / ``fused_rows``.  Both
-        kernels return identical per-request results, so outputs,
-        retained sets and every other ``EngineStats`` counter do not
-        depend on how requests are grouped (DESIGN.md §13).
+        return identical per-request results (on the ``"fast"`` backend
+        they are the same kernel), so outputs, retained sets and every
+        other ``EngineStats`` counter do not depend on how requests are
+        grouped (DESIGN.md §13).
         """
         if len(caches) != len(qs):
             raise ValueError("attend_batch needs one query block per cache")

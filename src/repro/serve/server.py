@@ -17,7 +17,8 @@ Flow control, cancellation, shutdown:
   rejected with ``overloaded`` instead of buffering without bound.
   Requests that could never fit the token budget are rejected up front
   (``too-large``) via :meth:`ContinuousScheduler.fits_budget`, and
-  requests with non-finite tensors or shapes that do not match the pool
+  requests that do not decode (a bad tensor payload or ``arrival``) or
+  carry non-finite tensors or shapes that do not match the pool
   (``invalid``) via :meth:`ContinuousScheduler.validate` — one bad
   request never reaches a round, so it cannot fail anyone else's.
 * **Cancellation** — a ``cancel`` message or a client disconnect marks
@@ -40,9 +41,10 @@ import argparse
 import asyncio
 import time
 from collections import deque
+from dataclasses import replace
 from typing import Deque, Dict, List, Optional, Set, Tuple
 
-from repro.engine.scheduler import ContinuousScheduler
+from repro.engine.scheduler import ContinuousScheduler, EngineRequest
 from repro.eval.serving_metrics import (
     summarize_serving,
     timing_from_result,
@@ -100,7 +102,9 @@ class AsyncPadeServer:
         self._kv_shape: Optional[Tuple[int, int, int]] = None
         self.results: Dict[str, object] = {}
         self.epoch = time.perf_counter()
-        self._accept_queue: Deque[Tuple[dict, _Connection]] = deque()
+        # Decoded accepted requests; the flag marks an ``arrival: "now"``
+        # submit, stamped with the round clock when the drain submits it.
+        self._accept_queue: Deque[Tuple[EngineRequest, bool]] = deque()
         self._connections: List[_Connection] = []
         self._owners: Dict[str, _Connection] = {}
         self._wall: Dict[str, Dict[str, float]] = {}
@@ -233,7 +237,8 @@ class AsyncPadeServer:
             self._send(conn, msg)
 
     async def _flush_outboxes(self) -> None:
-        for conn in self._connections:
+        # A snapshot: a connection may drop during a drain() await.
+        for conn in list(self._connections):
             if not conn.alive or not conn.outbox:
                 continue
             data = b"".join(conn.outbox)
@@ -250,6 +255,11 @@ class AsyncPadeServer:
             return
         conn.alive = False
         conn.outbox.clear()
+        self._connections.remove(conn)
+        try:
+            conn.writer.close()
+        except RuntimeError:
+            pass  # the event loop is already closing
         for rid in conn.owned:
             if rid not in self._done_sent:
                 self.scheduler.cancel(rid)
@@ -270,18 +280,19 @@ class AsyncPadeServer:
             return 0
         drained = 0
         while self._accept_queue:
-            msg, conn = self._accept_queue.popleft()
-            arrival = msg.get("arrival")
-            request = decode_request(
-                msg["request"],
-                arrival_time=self.scheduler.time if arrival == "now" else arrival,
-            )
+            request, stamp_now = self._accept_queue.popleft()
+            if stamp_now:
+                request = replace(request, arrival_time=self.scheduler.time)
             self.scheduler.submit(request)
             drained += 1
         return drained
 
     def _on_submit(self, conn: _Connection, msg: Dict) -> None:
-        rid = str(msg["request"]["request_id"])
+        try:
+            rid = str(msg["request"]["request_id"])
+        except (KeyError, TypeError):
+            self._send(conn, {"type": "error", "error": "submit needs a request_id"})
+            return
         if self._draining:
             self._send(conn, {"type": "rejected", "request_id": rid, "error": "shutting-down"})
             return
@@ -291,13 +302,19 @@ class AsyncPadeServer:
         if len(self._accept_queue) >= self.queue_limit:
             self._send(conn, {"type": "rejected", "request_id": rid, "error": "overloaded"})
             return
-        probe = decode_request(msg["request"])
+        # Decoded once, with the arrival it will be served with ("now"
+        # is re-stamped at drain, so the current clock stands in here).
+        stamp_now = msg.get("arrival") == "now"
         try:
-            shape = self.scheduler.validate(probe, self._kv_shape)
-        except ValueError:
+            request = decode_request(
+                msg["request"],
+                arrival_time=self.scheduler.time if stamp_now else msg.get("arrival"),
+            )
+            shape = self.scheduler.validate(request, self._kv_shape)
+        except (ValueError, KeyError, TypeError):
             self._send(conn, {"type": "rejected", "request_id": rid, "error": "invalid"})
             return
-        if not self.scheduler.fits_budget(probe):
+        if not self.scheduler.fits_budget(request):
             self._send(conn, {"type": "rejected", "request_id": rid, "error": "too-large"})
             return
         if self._kv_shape is None:
@@ -305,7 +322,7 @@ class AsyncPadeServer:
         self._owners[rid] = conn
         conn.owned.add(rid)
         self._wall.setdefault(rid, {})["arrival"] = self._now_ms()
-        self._accept_queue.append((msg, conn))
+        self._accept_queue.append((request, stamp_now))
         self._send(conn, {"type": "accepted", "request_id": rid})
         self._wake.set()
 

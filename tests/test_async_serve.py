@@ -444,6 +444,93 @@ class TestInvalidRequests:
 
         asyncio.run(run())
 
+    @pytest.mark.parametrize("case", ["negative-arrival", "non-numeric-arrival", "bad-tensor"])
+    def test_bad_submit_rejected_and_connection_survives(self, case):
+        """A submit that cannot become a servable request is rejected on
+        its own: its connection stays open, another client's request
+        completes, and nothing leaks."""
+        msg = {"type": "submit", "request": encode_request(_req("bad", seed=4))}
+        if case == "negative-arrival":
+            msg["arrival"] = -1
+        elif case == "non-numeric-arrival":
+            msg["arrival"] = "soon"
+        else:
+            msg["request"]["k"]["shape"] = [3, 3]
+
+        async def run():
+            server = await _start()
+            other = await ServeConnection.open(server.host, server.port)
+            reader, writer = await asyncio.open_connection(server.host, server.port)
+            try:
+                assert (await other.submit(_req("good", seed=1), arrival="now"))[
+                    "type"
+                ] == "accepted"
+                writer.write(encode_message(msg))
+                await writer.drain()
+                reply = decode_message(await asyncio.wait_for(reader.readline(), 10.0))
+                assert reply == {"type": "rejected", "request_id": "bad", "error": "invalid"}
+                writer.write(encode_message({"type": "stats"}))
+                await writer.drain()
+                reply = decode_message(await asyncio.wait_for(reader.readline(), 10.0))
+                assert reply["type"] == "stats"
+                done = await asyncio.wait_for(other.result("good"), 10.0)
+                assert done["status"] == "ok"
+            finally:
+                writer.close()
+                await writer.wait_closed()
+                await other.close()
+            ack = await _graceful_stop(server)
+            assert ack["served"] == 1
+            assert ack["leaked_blocks"] == 0
+
+        asyncio.run(run())
+
+    def test_submit_without_request_replies_error_and_keeps_connection(self):
+        async def run():
+            server = await _start()
+            reader, writer = await asyncio.open_connection(server.host, server.port)
+            try:
+                for msg in ({"type": "submit"}, {"type": "submit", "request": {}}):
+                    writer.write(encode_message(msg))
+                    await writer.drain()
+                    reply = decode_message(await asyncio.wait_for(reader.readline(), 10.0))
+                    assert reply["type"] == "error"
+                writer.write(encode_message({"type": "stats"}))
+                await writer.drain()
+                reply = decode_message(await asyncio.wait_for(reader.readline(), 10.0))
+                assert reply["type"] == "stats"
+            finally:
+                writer.close()
+                await writer.wait_closed()
+            await server.stop()
+
+        asyncio.run(run())
+
+
+class TestConnectionLifecycle:
+    def test_closed_connections_are_closed_and_forgotten(self):
+        """A long-lived server keeps no socket of a client that left."""
+
+        async def run():
+            server = await _start()
+            server_writers = []
+            for _ in range(50):
+                reader, writer = await asyncio.open_connection(server.host, server.port)
+                writer.write(encode_message({"type": "stats"}))
+                await writer.drain()
+                await asyncio.wait_for(reader.readline(), 10.0)
+                # Connections are appended, so the newest is this one.
+                server_writers.append(server._connections[-1].writer)
+                writer.close()
+                await writer.wait_closed()
+            await _wait_for(
+                lambda: not server._connections, timeout=5.0, what="every connection dropped"
+            )
+            assert all(w.transport.is_closing() for w in server_writers)
+            await server.stop()
+
+        asyncio.run(run())
+
 
 class TestDoneDispatch:
     def test_round_touches_only_its_finished_ids(self):
